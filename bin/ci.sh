@@ -105,6 +105,30 @@ echo "== observability smoke =="
 dune exec bin/minuet_bench.exe -- smoke --dir "$smoke_dir"
 dune exec bin/minuet_bench.exe -- check-report "$smoke_dir/BENCH_smoke.json"
 
+echo "== size-hinted reads =="
+# Proxies size node fetches from used-length hints (DESIGN.md Sec. 18).
+# The smoke run must issue hinted reads, and objects that outgrew their
+# hint (re-fetched at full slot length) must stay below 1% of them.
+smoke_counter() {
+  tr ',' '\n' < "$smoke_dir/BENCH_smoke.json" \
+    | sed -n "s/.*\"$1\": *\([0-9][0-9]*\).*/\1/p" | head -n 1
+}
+hinted=$(smoke_counter txn.hinted_reads)
+refetches=$(smoke_counter txn.short_read_refetches)
+if [ -z "$hinted" ] || [ -z "$refetches" ]; then
+  echo "ERROR: BENCH_smoke.json lacks the hinted-read counters" >&2
+  exit 1
+fi
+if [ "$hinted" -le 0 ]; then
+  echo "ERROR: smoke run issued no hinted reads" >&2
+  exit 1
+fi
+if [ $((refetches * 100)) -ge "$hinted" ]; then
+  echo "ERROR: $refetches short-read refetches for $hinted hinted reads (limit 1%)" >&2
+  exit 1
+fi
+echo "hinted reads: $hinted, short-read refetches: $refetches"
+
 echo "== node-path micro-benchmark =="
 # Zero-copy node views vs eager decodes on identical slotted payloads:
 # the view must be at least 3x faster per lookup, a corrupted slot
@@ -118,11 +142,12 @@ echo "== scan benchmark smoke =="
 # the build unless batching clears its speedup floor and post-crash
 # caches recover by epoch revalidation (never by a bulk flush). Emits
 # BENCH_scan.json (ops/s, leaves per round trip, cache hit rate). The
-# absolute floors pin the trimmed-reply scan numbers: the pre-zero-copy
-# baseline measured 1168 batched scans/s, so dropping below 1200 means
-# the response-byte win regressed.
+# absolute floors pin the scan numbers: the pre-zero-copy baseline
+# measured 1168 batched scans/s, trimmed replies 1228 and size-hinted
+# reads 1514, so dropping below 1450 means the request-side win of
+# hinted reads regressed.
 dune exec bin/minuet_bench.exe -- scan --dir "$smoke_dir" \
-  --min-batched-ops 1200 --min-leaves-per-rt 15.0
+  --min-batched-ops 1450 --min-leaves-per-rt 15.0
 
 echo "== streaming checker: million-op gate =="
 # A million-event synthetic history through Check.Stream, linear and

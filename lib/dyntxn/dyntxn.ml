@@ -4,5 +4,6 @@
     (Sec. 3). *)
 
 module Objref = Objref
+module Sizehint = Sizehint
 module Objcache = Objcache
 module Txn = Txn

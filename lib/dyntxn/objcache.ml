@@ -25,6 +25,7 @@ type t = {
          version-stamp compare, {!Btree.Bview.same_stamp}), injected by
          the layer above so this cache stays node-format agnostic. *)
   space_epochs : (int, int) Hashtbl.t; (* current crash epoch per space *)
+  hints : Sizehint.t; (* used-length hints; kept for uncached leaves too *)
   mutable head : lru_node option; (* most recently used *)
   mutable tail : lru_node option; (* least recently used *)
   mutable hits : int;
@@ -46,6 +47,7 @@ let create ?(capacity = 65536) ?stats ?node_stats ?same_content () =
     node_stats;
     same_content;
     space_epochs = Hashtbl.create 8;
+    hints = Sizehint.create ~capacity;
     head = None;
     tail = None;
     hits = 0;
@@ -173,6 +175,8 @@ let clear t =
   mirror t (fun s -> s.Obs.cache_bulk_evictions)
 
 let size t = Hashtbl.length t.table
+
+let hints t = t.hints
 
 let hits t = t.hits
 

@@ -75,6 +75,12 @@ val clear : t -> unit
 
 val size : t -> int
 
+val hints : t -> Sizehint.t
+(** The proxy's slot size hints ({!Sizehint}), bounded by the same
+    [capacity]. They cover every slot the proxy reads, leaves included,
+    and survive {!clear} and {!invalidate}: a hint carries no content,
+    only how many bytes to ask for. *)
+
 val hits : t -> int
 
 val misses : t -> int

@@ -39,6 +39,10 @@ let payload_of_slot slot =
     raise (Codec.Decode_error "Objref.payload_of_slot: corrupt length field");
   String.sub slot header_size len
 
+let used_len_of_slot slot =
+  if String.length slot < header_size then invalid_arg "Objref.used_len_of_slot: slot too short";
+  header_size + Int32.to_int (String.get_int32_le slot 8)
+
 let slot_of ~seq ~payload =
   let b = Bytes.create (header_size + String.length payload) in
   Bytes.set_int64_le b 0 seq;

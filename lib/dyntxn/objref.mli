@@ -37,5 +37,11 @@ val payload_of_slot : string -> string
 (** Extract the payload using the stored length field. Raises
     [Codec.Decode_error] if the length field is corrupt. *)
 
+val used_len_of_slot : string -> int
+(** Header plus payload length as declared by the slot's length field.
+    It exceeds [String.length slot] when the bytes were cut short of the
+    declared payload; it is meaningless when the field is corrupt.
+    Raises [Invalid_argument] on fewer than [header_size] bytes. *)
+
 val slot_of : seq:int64 -> payload:string -> string
 (** Assemble raw slot bytes. *)

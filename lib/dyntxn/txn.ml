@@ -144,15 +144,30 @@ let piggyback_compares t ~nodes =
         compares := seq_compare_at (Address.make ~node:repl_node ~off) seq :: !compares);
   (!compares, !covered, !all_covered)
 
-(* Multi-object fetch minitransaction, optionally piggy-backing read-set
-   validation (Sec. 2.2). Items are coalesced per memnode by the
-   Mtx/Coordinator machinery: one round trip for a single participant,
-   one parallel 2PC for several. Results are in the order of [refs].
-   Raises [Aborted] when a piggy-backed comparison fails: the read set
-   is stale and the transaction cannot commit. *)
-let fetch_refs t ~validate (refs : Objref.t list) =
-  check_live t;
-  let nodes = List.sort_uniq Int.compare (List.map Objref.node refs) in
+(* Bytes requested past a slot's hinted used length. An object that
+   grew by no more than this since the hint was taken still comes back
+   whole; one that grew further is re-fetched (see [fetch_refs]). *)
+let hint_slack = 512
+
+let hints t = Option.map Objcache.hints t.cache
+
+(* Read length for one fetch item: the hinted used length plus slack,
+   never more than the slot. Transactions without a proxy cache (GC,
+   allocator, SCS) have no hints and read whole slots. *)
+let read_len hints (r : Objref.t) =
+  match hints with
+  | None -> r.Objref.len
+  | Some h -> (
+      match Sizehint.find h r with
+      | Some used -> min r.Objref.len (used + hint_slack)
+      | None -> r.Objref.len)
+
+(* One fetch minitransaction over [reads] ((ref, requested length)
+   pairs), piggy-backing validation of the read set at the memnodes in
+   [nodes] plus the [extra] compares. Returns the raw slots in [reads]
+   order. Raises [Aborted] when a comparison fails: the read set is
+   stale and the transaction cannot commit. *)
+let exec_fetch t ~validate ~nodes ~extra reads =
   let gen0 = t.footprint_gen in
   let compares, covered, all_covered =
     if validate then piggyback_compares t ~nodes else ([], [], false)
@@ -161,9 +176,9 @@ let fetch_refs t ~validate (refs : Objref.t list) =
      response transfer cost is charged on actual bytes, not the fixed
      slot size — the bulk of a batched scan's byte budget. *)
   let reads =
-    List.map (fun (r : Objref.t) -> Mtx.read_at ~trim:true r.Objref.addr r.Objref.len) refs
+    List.map (fun ((r : Objref.t), len) -> Mtx.read_at ~trim:true r.Objref.addr len) reads
   in
-  let mtx = Mtx.make ~compares ~reads () in
+  let mtx = Mtx.make ~compares:(extra @ compares) ~reads () in
   t.fetches <- t.fetches + 1;
   match Coordinator.exec t.cluster ?client:t.client mtx with
   | Mtx.Committed { stamp; reads = results; epochs } ->
@@ -177,7 +192,7 @@ let fetch_refs t ~validate (refs : Objref.t list) =
         t.fully_validated <- (all_covered && t.footprint_gen = gen0);
         t.last_validated_stamp <- Some stamp
       end;
-      List.map (fun (_, slot) -> (Objref.seq_of_slot slot, Objref.payload_of_slot slot)) results
+      List.map snd results
   | Mtx.Failed_compare _ ->
       (* Some read-set entry changed under us. Evict what we can from
          the cache and abort. *)
@@ -201,6 +216,64 @@ let fetch_refs t ~validate (refs : Objref.t list) =
       let reason = if partitioned then Obs.Abort.Partitioned else Obs.Abort.Crashed_host in
       Obs.abort t.obs ~layer:Obs.Abort.Txn reason;
       fail t (if partitioned then "memnode partitioned" else "memnode unavailable")
+
+(* Multi-object fetch minitransaction, optionally piggy-backing read-set
+   validation (Sec. 2.2). Items are coalesced per memnode by the
+   Mtx/Coordinator machinery: one round trip for a single participant,
+   one parallel 2PC for several. Results are in the order of [refs].
+
+   Each item asks only for its slot's hinted used length plus slack
+   ({!Sizehint}), so the memnode locks, charges and ships less. An item
+   whose header declares more bytes than came back outgrew its hint: it
+   is re-fetched whole by a second minitransaction over the same
+   memnodes and with the same validation. When validating, that second
+   fetch also compares the sequence numbers the first one returned for
+   the rest of the batch, so the batch still joins the read set
+   consistent at a single stamp. Truncated payloads never leave this
+   function. *)
+let fetch_refs t ~validate (refs : Objref.t list) =
+  check_live t;
+  let nodes = List.sort_uniq Int.compare (List.map Objref.node refs) in
+  let hints = hints t in
+  let reads = List.map (fun r -> (r, read_len hints r)) refs in
+  List.iter
+    (fun ((r : Objref.t), len) ->
+      if len < r.Objref.len then Obs.Counter.incr t.stats.Obs.hinted_reads)
+    reads;
+  let first = exec_fetch t ~validate ~nodes ~extra:[] reads in
+  let is_short ((r : Objref.t), len) slot =
+    len < r.Objref.len && Objref.used_len_of_slot slot > String.length slot
+  in
+  let slots =
+    if not (List.exists2 is_short reads first) then first
+    else begin
+      let fetched = List.combine reads first in
+      let short = List.filter (fun (item, slot) -> is_short item slot) fetched in
+      Obs.Counter.add t.stats.Obs.short_read_refetches (List.length short);
+      let extra =
+        if not validate then []
+        else
+          List.filter_map
+            (fun (((r : Objref.t), _) as item, slot) ->
+              if is_short item slot then None
+              else Some (seq_compare_at r.Objref.addr (Objref.seq_of_slot slot)))
+            fetched
+      in
+      let whole = List.map (fun (((r : Objref.t), _), _) -> (r, r.Objref.len)) short in
+      let rec splice fetched refetched =
+        match (fetched, refetched) with
+        | (item, slot) :: rest, whole_slot :: more when is_short item slot ->
+            whole_slot :: splice rest more
+        | (_, slot) :: rest, more -> slot :: splice rest more
+        | [], _ -> []
+      in
+      splice fetched (exec_fetch t ~validate ~nodes ~extra whole)
+    end
+  in
+  (match hints with
+  | None -> ()
+  | Some h -> List.iter2 (fun r slot -> Sizehint.note h r ~used:(Objref.used_len_of_slot slot)) refs slots);
+  List.map (fun slot -> (Objref.seq_of_slot slot, Objref.payload_of_slot slot)) slots
 
 let fetch_slot t ~validate (addr : Address.t) ~len =
   match fetch_refs t ~validate [ Objref.make ~addr ~len ] with
@@ -597,6 +670,13 @@ let commit ?(blocking = false) t =
         t.commit_stamp_ <- Some stamp;
         observe_epochs t epochs;
         refresh_cache t written;
+        (match hints t with
+        | None -> ()
+        | Some h ->
+            List.iter
+              (fun (ref_, _, payload, _) ->
+                Sizehint.note h ref_ ~used:(Objref.header_size + String.length payload))
+              written);
         (* Keep the proxy's view of replicated objects it just updated
            fresh (tip pointers, catalog entries). *)
         (match t.cache with

@@ -65,6 +65,24 @@ let reclaim tree (ref_ : Objref.t) ~observed_seq =
   | Mtx.Committed _ -> true
   | Mtx.Failed_compare _ | Mtx.Busy | Mtx.Unavailable _ -> false
 
+(* Number of slot indices on the store's memnode that the allocator has
+   ever handed out, read from the memnode's own allocation pointer.
+   Every node slot is reserved through that pointer before it is
+   written, so slots at or past it hold nothing a sweep could reclaim. *)
+let allocated_slots layout store =
+  let slot =
+    Memnode.read_trimmed (Memnode.store_heap store) ~off:(Layout.alloc_ptr_off layout)
+      ~len:Layout.slot_len_small
+  in
+  let next = Int64.to_int (decode_sid (Objref.payload_of_slot slot)) in
+  max 0 (min next layout.Layout.max_slots)
+
+(* A node slot as seen by a sweep running at its memnode: the header,
+   and for a non-empty slot only the used prefix after it. *)
+let read_slot store (ref_ : Objref.t) =
+  Memnode.read_trimmed (Memnode.store_heap store) ~off:ref_.Objref.addr.Address.off
+    ~len:ref_.Objref.len
+
 let sweep tree ~alloc =
   let cluster = Ops.cluster tree in
   let layout = Ops.layout tree in
@@ -73,12 +91,12 @@ let sweep tree ~alloc =
   if Int64.compare lowest 0L > 0 then
     for node = 0 to Cluster.n_memnodes cluster - 1 do
       let mn, store = Cluster.route cluster node in
-      for index = 0 to layout.Layout.max_slots - 1 do
+      for index = 0 to allocated_slots layout store - 1 do
         (* The sweep runs at the memnode itself: read the slot locally,
            paying a small CPU cost per batch. *)
         if index mod 128 = 0 then Memnode.serve mn ~cost:2e-6;
-        let off = Layout.slot_off layout ~index in
-        let slot = Heap.read (Memnode.store_heap store) ~off ~len:layout.Layout.node_size in
+        let ref_ = Layout.node_ref layout ~node ~index in
+        let slot = read_slot store ref_ in
         let seq = Objref.seq_of_slot slot in
         if Int64.compare seq 0L <> 0 then begin
           match Bnode.decode (Objref.payload_of_slot slot) with
@@ -94,13 +112,10 @@ let sweep tree ~alloc =
                   (fun d -> Int64.compare d lowest <= 0)
                   bnode.Bnode.descendants
               in
-              if collectable then begin
-                let ref_ = Layout.node_ref layout ~node ~index in
-                if reclaim tree ref_ ~observed_seq:seq then begin
-                  Node_alloc.free alloc ref_;
-                  incr freed;
-                  Obs.Counter.incr (Obs.gc (Cluster.obs cluster)).Obs.slots_reclaimed
-                end
+              if collectable && reclaim tree ref_ ~observed_seq:seq then begin
+                Node_alloc.free alloc ref_;
+                incr freed;
+                Obs.Counter.incr (Obs.gc (Cluster.obs cluster)).Obs.slots_reclaimed
               end
         end
       done
@@ -118,9 +133,7 @@ let sweep_branching trees ~alloc ~roots =
   let read_node (ptr : Objref.t) =
     let mn, store = Cluster.route cluster (Objref.node ptr) in
     Memnode.serve mn ~cost:1e-6;
-    let slot =
-      Heap.read (Memnode.store_heap store) ~off:ptr.Objref.addr.Address.off ~len:ptr.Objref.len
-    in
+    let slot = read_slot store ptr in
     if Int64.compare (Objref.seq_of_slot slot) 0L = 0 then None
     else
       match Bnode.decode (Objref.payload_of_slot slot) with
@@ -146,13 +159,12 @@ let sweep_branching trees ~alloc ~roots =
   let freed = ref 0 in
   for node = 0 to Cluster.n_memnodes cluster - 1 do
     let mn, store = Cluster.route cluster node in
-    for index = 0 to layout.Layout.max_slots - 1 do
+    for index = 0 to allocated_slots layout store - 1 do
       if index mod 128 = 0 then Memnode.serve mn ~cost:2e-6;
-      let off = Layout.slot_off layout ~index in
-      let slot = Heap.read (Memnode.store_heap store) ~off ~len:layout.Layout.node_size in
+      let ref_ = Layout.node_ref layout ~node ~index in
+      let slot = read_slot store ref_ in
       let seq = Objref.seq_of_slot slot in
       if Int64.compare seq 0L <> 0 && Int64.compare seq seq_floor < 0 then begin
-        let ref_ = Layout.node_ref layout ~node ~index in
         if (not (Hashtbl.mem marked ref_)) && Objref.payload_of_slot slot <> "" then begin
           match Bnode.decode (Objref.payload_of_slot slot) with
           | exception Codec.Decode_error _ ->

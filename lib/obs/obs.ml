@@ -112,6 +112,8 @@ type txn_stats = {
   validation_failures : Counter.t;
   retry_exhausted : Counter.t;
   txn_unavailable : Counter.t;
+  hinted_reads : Counter.t;
+  short_read_refetches : Counter.t;
 }
 
 type btree_stats = {
@@ -282,6 +284,8 @@ let create ?(span_capacity = 65536) () =
       validation_failures = c "txn.validation_failures";
       retry_exhausted = c "txn.retry_exhausted";
       txn_unavailable = c "txn.unavailable";
+      hinted_reads = c "txn.hinted_reads";
+      short_read_refetches = c "txn.short_read_refetches";
     }
   in
   let btree_stats =

@@ -81,6 +81,11 @@ type txn_stats = {
   validation_failures : Counter.t;
   retry_exhausted : Counter.t;
   txn_unavailable : Counter.t;
+  hinted_reads : Counter.t;
+      (** Fetch items sized from a size hint, shorter than their slot. *)
+  short_read_refetches : Counter.t;
+      (** Hinted items whose object had outgrown the hint and were
+          re-fetched at full slot length. *)
 }
 
 type btree_stats = {

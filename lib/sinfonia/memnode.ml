@@ -204,6 +204,20 @@ let ranges_of_part p =
       (fun w -> range_of_addr w.Mtx.w_addr (String.length w.Mtx.w_data) Lock_table.Exclusive)
       p.p_writes
 
+(* [Mtx.trim_slot (Heap.read heap ~off ~len)] without copying the slot's
+   zero padding: read the header, then exactly the used prefix it
+   declares. A length field that is corrupt or runs past [len] falls
+   back to the full range, as [Mtx.trim_slot] does. *)
+let read_trimmed heap ~off ~len =
+  let hs = Mtx.slot_header_size in
+  if len <= hs then Heap.read heap ~off ~len
+  else
+    let header = Heap.read heap ~off ~len:hs in
+    let plen = Int32.to_int (String.get_int32_le header 8) in
+    if plen < 0 || plen > len - hs then Heap.read heap ~off ~len
+    else if plen = 0 then header
+    else Heap.read heap ~off ~len:(hs + plen)
+
 type prepare_result =
   | Prepared of (int * string) list
   | Busy_locks
@@ -225,11 +239,13 @@ let evaluate_and_read store ~owner p =
     let reads =
       List.map
         (fun (idx, r) ->
-          let slot = Heap.read store.heap ~off:r.Mtx.r_addr.Address.off ~len:r.Mtx.r_len in
-          (* Trimmed reads reply with the slot's used prefix only; the
-             full range was still locked and charged on the request
-             side, but the response transfers just the live bytes. *)
-          (idx, if r.Mtx.r_trim then Mtx.trim_slot slot else slot))
+          let off = r.Mtx.r_addr.Address.off in
+          (* Trimmed reads reply with the slot's used prefix only. The
+             requested range is what was locked and charged; proxies
+             size it from a used-length hint, so it is usually already
+             close to the live bytes. *)
+          (idx, if r.Mtx.r_trim then read_trimmed store.heap ~off ~len:r.Mtx.r_len
+                else Heap.read store.heap ~off ~len:r.Mtx.r_len))
         p.p_reads
     in
     Prepared reads
@@ -270,12 +286,20 @@ let finish_single store ~owner ~stamp p = function
    append, decision and apply happen with no scheduler yield between
    them, so the entry is never observable in the Prepared state. *)
 let finish_single_logged store ~owner ~stamp p = function
-  | Prepared _ as r ->
+  | Prepared _ as r when p.p_writes <> [] ->
       let s = stamp () in
       Redo_log.append store.redo ~tid:owner ~participants:[ store.space ] ~writes:p.p_writes;
       (match Redo_log.decide_commit store.redo ~tid:owner ~stamp:s with
       | `Apply -> apply_writes store p.p_writes
       | `Skip -> ());
+      Lock_table.release store.locks ~owner;
+      (r, Some s)
+  | Prepared _ as r ->
+      (* Nothing to make durable: a read-only (or compare-only) 1PC
+         needs its stamp and its locks released, but no redo entry and
+         no decision record. Its tid is then unknown to the log, which
+         is the truth: a crash reported against it applied nothing. *)
+      let s = stamp () in
       Lock_table.release store.locks ~owner;
       (r, Some s)
   | (Busy_locks | Compare_failed _) as r -> (r, None)

@@ -149,6 +149,11 @@ val part_cost : Config.t -> part -> float
 val part_bytes : part -> int
 (** Approximate request size in bytes, for the network model. *)
 
+val read_trimmed : Heap.t -> off:int -> len:int -> string
+(** Equal to [Mtx.trim_slot (Heap.read heap ~off ~len)], but copies only
+    the slot header and then the used prefix it declares, not the
+    zero padding. Serves [r_trim] reads; the GC sweeps use it too. *)
+
 type prepare_result =
   | Prepared of (int * string) list
       (** Locks held; compares passed; read results tagged with their
@@ -224,7 +229,9 @@ val execute_single_timed :
     two conflicting minitransactions is their serialization order. The
     commit is routed through the redo log (append + decide, no
     scheduler yield in between) so a crash after the 1PC commit but
-    before the mirror cannot lose it. *)
+    before the mirror cannot lose it. A part with no writes skips the
+    redo log entirely: it draws its stamp and releases its locks, and
+    leaves no entry or decision behind. *)
 
 val execute_single_blocking_timed :
   t -> store -> owner:int64 -> stamp:(unit -> int64) -> part -> cost:float -> timeout:float ->

@@ -10,8 +10,10 @@ type compare_item = { c_addr : Address.t; c_expected : string }
 type read_item = { r_addr : Address.t; r_len : int; r_trim : bool }
 (** [r_trim] asks the serving memnode to reply with only the used
     prefix of an object slot (header + stored payload length) instead
-    of the full [r_len] range — the request still locks and costs the
-    full range, but the response transfers only live bytes. *)
+    of the full [r_len] range. The request still locks and costs all of
+    [r_len], so callers that know roughly how much of the slot is used
+    ask for less than the slot (see [Dyntxn.Txn]); the response
+    transfers only live bytes. *)
 
 type write_item = { w_addr : Address.t; w_data : string }
 
@@ -36,10 +38,15 @@ val read_at : ?trim:bool -> Address.t -> int -> read_item
 (** [trim] (default false) requests a reply trimmed to the slot's used
     prefix; see {!read_item}. *)
 
+val slot_header_size : int
+(** 12: the i64 sequence number and i32 payload length that open an
+    object slot. *)
+
 val trim_slot : string -> string
 (** The used prefix of raw object-slot bytes (12-byte header + stored
     payload length); returns the input unchanged when the length field
-    is out of range. *)
+    is out of range. The reference that [Memnode.read_trimmed], which
+    serves trimmed reads without a full copy, is tested against. *)
 
 val write_at : Address.t -> string -> write_item
 

@@ -516,6 +516,148 @@ let test_txn_cache_epoch_revalidation_after_crash () =
       commit_ok t4)
 
 (* ------------------------------------------------------------------ *)
+(* Size-hinted reads                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Node-sized slots, well clear of the 64-byte test slots above. *)
+let big node i = Objref.make ~addr:(Address.make ~node ~off:(65536 + (i * 4096))) ~len:4096
+
+let hinted cluster = Obs.Counter.value (Obs.txn (Cluster.obs cluster)).Obs.hinted_reads
+
+let refetched cluster = Obs.Counter.value (Obs.txn (Cluster.obs cluster)).Obs.short_read_refetches
+
+(* Commit [payload] into [r] from a transaction of its own, with or
+   without a proxy cache (and so with or without hints). *)
+let put ?cache cluster r payload =
+  let t = Txn.begin_ ?cache cluster in
+  Txn.write t r payload;
+  commit_ok t
+
+let test_sizehint_bounded () =
+  let h = Sizehint.create ~capacity:2 in
+  let r0 = big 0 0 and r1 = big 0 1 and r2 = big 0 2 in
+  Sizehint.note h r0 ~used:100;
+  Sizehint.note h r0 ~used:5000;
+  Sizehint.note h r0 ~used:11;
+  check (Alcotest.option Alcotest.int) "lengths outside the slot ignored" (Some 100)
+    (Sizehint.find h r0);
+  Sizehint.note h r1 ~used:200;
+  Sizehint.note h r1 ~used:300;
+  check Alcotest.int "overwrite in place" 2 (Sizehint.size h);
+  Sizehint.note h r2 ~used:400;
+  check Alcotest.int "a full table starts over" 1 (Sizehint.size h);
+  check (Alcotest.option Alcotest.int) "newest kept" (Some 400) (Sizehint.find h r2);
+  check (Alcotest.option Alcotest.int) "older dropped" None (Sizehint.find h r0)
+
+let test_hint_growth_refetched_whole () =
+  with_cluster (fun cluster ->
+      let cache = Objcache.create () in
+      let r = big 0 0 and other = big 0 1 in
+      put cluster other "o";
+      (* The proxy's own write seeds a 12 + 5 byte hint. *)
+      put ~cache cluster r "small";
+      check (Alcotest.option Alcotest.int) "hint from write" (Some 17)
+        (Sizehint.find (Objcache.hints cache) r);
+      (* Another proxy grows the object far past hint + slack. *)
+      let grown = String.init 2000 (fun i -> Char.chr (97 + (i mod 26))) in
+      put cluster r grown;
+      let h0 = hinted cluster and f0 = refetched cluster in
+      (* A validated read after another validated read: the refetch
+         re-validates the read set and the first read stays in it. *)
+      let t = Txn.begin_ cluster ~cache in
+      check Alcotest.string "other" "o" (Txn.read t other);
+      check Alcotest.string "grown payload whole" grown (Txn.read t r);
+      check Alcotest.int "hinted fetch, then the refetch" 3 (Txn.fetches t);
+      check Alcotest.int "counted hinted" 1 (hinted cluster - h0);
+      check Alcotest.int "counted refetch" 1 (refetched cluster - f0);
+      Txn.write t other "o2";
+      commit_ok t;
+      check (Alcotest.option Alcotest.int) "hint follows the header" (Some 2012)
+        (Sizehint.find (Objcache.hints cache) r);
+      (* The unvalidated path (leaf fetches bypass the cache) behaves
+         the same and never caches the truncated bytes. *)
+      let bigger = String.make 3500 'z' in
+      put cluster r bigger;
+      let t = Txn.begin_ cluster ~cache in
+      check Alcotest.string "dirty read whole" bigger (Txn.dirty_read ~use_cache:false t r);
+      check Alcotest.int "dirty refetch" 2 (refetched cluster - f0);
+      check Alcotest.bool "not cached" true (Objcache.find cache r = None);
+      commit_ok t;
+      (* With the hint now current, the next read is hinted and whole. *)
+      let t = Txn.begin_ cluster ~cache in
+      check Alcotest.string "current hint" bigger (Txn.read t r);
+      check Alcotest.int "one fetch" 1 (Txn.fetches t);
+      check Alcotest.int "no new refetch" 2 (refetched cluster - f0);
+      commit_ok t)
+
+let test_hint_shrunk_payload_trimmed () =
+  with_cluster (fun cluster ->
+      let cache = Objcache.create () in
+      let r = big 1 0 in
+      put ~cache cluster r (String.make 3000 'x');
+      (* A shrinking write only overwrites the header and the new
+         payload; the old tail is still in the slot past it. *)
+      put cluster r "tiny";
+      let t = Txn.begin_ cluster ~cache in
+      check Alcotest.string "exactly the new payload" "tiny" (Txn.read t r);
+      check Alcotest.int "no refetch" 0 (refetched cluster);
+      check Alcotest.int "hinted" 1 (hinted cluster);
+      check (Alcotest.option Alcotest.int) "hint shrinks" (Some 16)
+        (Sizehint.find (Objcache.hints cache) r);
+      commit_ok t)
+
+let test_hint_read_still_validated () =
+  with_cluster (fun cluster ->
+      let cache = Objcache.create () in
+      let r = big 0 0 and w = big 0 1 in
+      put ~cache cluster r "v0";
+      let t1 = Txn.begin_ cluster ~cache in
+      check Alcotest.string "hinted read" "v0" (Txn.read t1 r);
+      check Alcotest.int "was hinted" 1 (hinted cluster);
+      put cluster r "v1";
+      Txn.write t1 w "depends on v0";
+      expect_validation_failure t1;
+      (* The shortened shared range still overlaps every slot write,
+         because writes start at the slot offset. *)
+      let store = Memnode.primary (Cluster.memnode cluster 0) in
+      let write_part =
+        Memnode.part_of_mtx
+          (Mtx.make ~writes:[ Mtx.write_at r.Objref.addr (Objref.slot_of ~seq:9L ~payload:"x") ] ())
+          ~node:0
+      in
+      let read_part =
+        Memnode.part_of_mtx (Mtx.make ~reads:[ Mtx.read_at ~trim:true r.Objref.addr 524 ] ()) ~node:0
+      in
+      (match Memnode.prepare store ~owner:1L write_part with
+      | Memnode.Prepared _ -> ()
+      | _ -> Alcotest.fail "writer did not prepare");
+      (match Memnode.prepare store ~owner:2L read_part with
+      | Memnode.Busy_locks -> ()
+      | _ -> Alcotest.fail "hinted read slipped under a slot write");
+      Memnode.abort store ~owner:1L)
+
+let test_cacheless_reads_full_slots () =
+  with_cluster (fun cluster ->
+      let cache = Objcache.create () in
+      let r = big 2 0 in
+      put ~cache cluster r "hinted elsewhere";
+      (* GC, the allocator and the SCS run transactions without a proxy
+         cache: they never size reads from hints. *)
+      let t = Txn.begin_ cluster in
+      check Alcotest.string "value" "hinted elsewhere" (Txn.read t r);
+      commit_ok t;
+      let t = Txn.begin_ cluster in
+      check Alcotest.string "dirty value" "hinted elsewhere" (Txn.dirty_read t r);
+      check Alcotest.int "fetched" 1 (Txn.fetches t);
+      commit_ok t;
+      check Alcotest.int "no hinted reads" 0 (hinted cluster);
+      (* The same read through the proxy is hinted. *)
+      let t = Txn.begin_ cluster ~cache in
+      check Alcotest.string "proxy value" "hinted elsewhere" (Txn.read t r);
+      commit_ok t;
+      check Alcotest.int "proxy read hinted" 1 (hinted cluster))
+
+(* ------------------------------------------------------------------ *)
 (* Replicated objects                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -775,6 +917,14 @@ let () =
             test_txn_evict_dirty_drops_negative_read;
           Alcotest.test_case "epoch revalidation after crash" `Quick
             test_txn_cache_epoch_revalidation_after_crash;
+        ] );
+      ( "hinted-reads",
+        [
+          Alcotest.test_case "hint table bounded" `Quick test_sizehint_bounded;
+          Alcotest.test_case "growth refetched whole" `Quick test_hint_growth_refetched_whole;
+          Alcotest.test_case "shrunk payload trimmed" `Quick test_hint_shrunk_payload_trimmed;
+          Alcotest.test_case "hinted read still validated" `Quick test_hint_read_still_validated;
+          Alcotest.test_case "cache-less reads full slots" `Quick test_cacheless_reads_full_slots;
         ] );
       ( "baseline-primitives",
         [

@@ -201,6 +201,68 @@ let test_gc_reclaims_superseded_nodes () =
       check Alcotest.bool "free list populated" true (free_total > 0);
       check Alcotest.int "sweep idempotent" 0 (Gc.sweep tree ~alloc))
 
+(* Every non-empty node slot on every memnode, over the whole slot
+   range: what a sweep that ignored the allocation pointer would see. *)
+let full_range_nodes env =
+  List.concat_map
+    (fun node ->
+      let _, store = Cluster.route env.cluster node in
+      let heap = Sinfonia.Memnode.store_heap store in
+      List.filter_map
+        (fun index ->
+          let slot =
+            Sinfonia.Heap.read heap ~off:(Layout.slot_off env.layout ~index)
+              ~len:env.layout.Layout.node_size
+          in
+          if Objref.seq_of_slot slot = 0L then None
+          else
+            match Bnode.decode (Objref.payload_of_slot slot) with
+            | n -> Some ((node, index), n)
+            | exception Codec.Decode_error _ -> None)
+        (List.init env.layout.Layout.max_slots Fun.id))
+    (List.init (Cluster.n_memnodes env.cluster) Fun.id)
+
+let test_gc_bounded_sweep_matches_full_range () =
+  Sim.run (fun () ->
+      let env = make_env () in
+      (* Small chunks keep each allocation pointer just past the last
+         slot in use, so a sweep bounded short of it would miss
+         collectable slots. *)
+      let alloc =
+        Node_alloc.create ~chunk:4 ~cluster:env.cluster ~layout:env.layout ~shared:env.shared ()
+      in
+      let tree =
+        Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ()
+      in
+      Ops.Linear.init_tree tree;
+      for round = 0 to 2 do
+        for i = 0 to 39 do
+          put tree (key i) (Printf.sprintf "v%d" round)
+        done;
+        let (_ : int64 * Objref.t) = create_snapshot tree in
+        ()
+      done;
+      Gc.keep_recent tree ~n:1;
+      let lowest = Gc.get_lowest tree in
+      let before = full_range_nodes env in
+      let expected =
+        List.filter_map
+          (fun (at, n) ->
+            if Array.exists (fun d -> Int64.compare d lowest <= 0) n.Bnode.descendants then
+              Some at
+            else None)
+          before
+      in
+      let freed = Gc.sweep tree ~alloc in
+      let after = List.map fst (full_range_nodes env) in
+      let reclaimed = List.filter (fun (at, _) -> not (List.mem at after)) before in
+      check Alcotest.bool "something collectable" true (expected <> []);
+      check Alcotest.int "count" (List.length expected) freed;
+      check
+        Alcotest.(list (pair int int))
+        "same slots as a full-range sweep" expected (List.map fst reclaimed))
+
 let test_gc_background_process () =
   Sim.run ~until:100.0 (fun () ->
       let env = make_env () in
@@ -652,6 +714,8 @@ let () =
         [
           Alcotest.test_case "watermark" `Quick test_gc_watermark;
           Alcotest.test_case "reclaims superseded nodes" `Quick test_gc_reclaims_superseded_nodes;
+          Alcotest.test_case "bounded sweep = full-range sweep" `Quick
+            test_gc_bounded_sweep_matches_full_range;
           Alcotest.test_case "background process" `Quick test_gc_background_process;
         ] );
       ( "branching",

@@ -19,7 +19,13 @@ let test_typed_counters () =
   check Alcotest.int "txn.commits via registry" 1
     (Sim.Metrics.counter_value (Obs.metrics obs) "txn.commits");
   check Alcotest.int "btree.splits via registry" 3
-    (Sim.Metrics.counter_value (Obs.metrics obs) "btree.splits")
+    (Sim.Metrics.counter_value (Obs.metrics obs) "btree.splits");
+  Obs.Counter.add (Obs.txn obs).Obs.hinted_reads 5;
+  Obs.Counter.incr (Obs.txn obs).Obs.short_read_refetches;
+  check Alcotest.int "txn.hinted_reads via registry" 5
+    (Sim.Metrics.counter_value (Obs.metrics obs) "txn.hinted_reads");
+  check Alcotest.int "txn.short_read_refetches via registry" 1
+    (Sim.Metrics.counter_value (Obs.metrics obs) "txn.short_read_refetches")
 
 let test_abort_matrix () =
   let obs = Obs.create () in
@@ -163,6 +169,17 @@ let test_json_roundtrip () =
       check Alcotest.int "report counter = registry counter"
         (Sim.Metrics.counter_value (Obs.metrics obs) "txn.commits")
         commits;
+      (* The size-hint counters are reported next to the other txn
+         stats, at the values of their typed handles. *)
+      List.iter
+        (fun (name, handle) ->
+          match Obs.Json.member name (member "counters") with
+          | Some (Obs.Json.Int n) -> check Alcotest.int name (Obs.Counter.value handle) n
+          | _ -> Alcotest.failf "counters.%s missing" name)
+        [
+          ("txn.hinted_reads", (Obs.txn obs).Obs.hinted_reads);
+          ("txn.short_read_refetches", (Obs.txn obs).Obs.short_read_refetches);
+        ];
       (* Both read paths produced latency summaries. *)
       let ops = member "ops" in
       List.iter

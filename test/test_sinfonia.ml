@@ -777,6 +777,92 @@ let test_mid_crash_in_doubt_resolved () =
       (* The recovery daemon loops forever; end the simulation. *)
       Sim.stop ())
 
+let test_read_only_1pc_skips_redo () =
+  (* A write-free 1PC has nothing to make durable: it leaves no redo
+     entry and no decision record, so a crash reported against its tid
+     can only be classified as not applied. *)
+  let config = { Config.default with svc_msg = 0.01 } in
+  with_cluster ~config (fun cluster ->
+      let redo = Cluster.redo_log cluster 0 in
+      let (_ : (Address.t * string) list) =
+        expect_committed (exec cluster (Mtx.make ~writes:[ Mtx.write_at (addr 0 0) "seed" ] ()))
+      in
+      let appends = Redo_log.appends redo and decisions = List.length (Redo_log.decisions redo) in
+      check Alcotest.int "the write logged" 1 appends;
+      (match
+         expect_committed (exec cluster (Mtx.make ~reads:[ Mtx.read_at (addr 0 0) 4 ] ()))
+       with
+      | [ (_, data) ] -> check Alcotest.string "read" "seed" data
+      | _ -> Alcotest.fail "read failed");
+      let (_ : (Address.t * string) list) =
+        expect_committed
+          (exec cluster (Mtx.make ~compares:[ Mtx.compare_at (addr 0 0) "seed" ] ()))
+      in
+      check Alcotest.int "no append for reads or compares" appends (Redo_log.appends redo);
+      check Alcotest.int "no decision record" decisions (List.length (Redo_log.decisions redo));
+      (* Locks are still released and a stamp is still drawn. *)
+      let mn = Cluster.memnode cluster 0 in
+      let store = Memnode.primary mn in
+      let part = Memnode.part_of_mtx (Mtx.make ~reads:[ Mtx.read_at (addr 0 0) 4 ] ()) ~node:0 in
+      Sim.spawn (fun () ->
+          match Memnode.execute_single_timed mn store ~owner:77L ~stamp:(fun () -> 5L) part ~cost:0.0 with
+          | Memnode.Prepared _, Some 5L -> ()
+          | _ -> Alcotest.fail "read-only 1PC did not commit at its stamp");
+      Sim.delay 0.001;
+      check Alcotest.bool "locks released" false (Lock_table.holds (Memnode.store_locks store) ~owner:77L);
+      check Alcotest.bool "tid unknown to the log" true (Redo_log.decision redo ~tid:77L = None);
+      (* A crash landing under an in-flight read-only fetch: nothing was
+         applied, and the outcome says so. *)
+      let outcome = ref None in
+      Sim.spawn (fun () ->
+          outcome := Some (exec cluster (Mtx.make ~reads:[ Mtx.read_at (addr 0 0) 4 ] ())));
+      Sim.delay 0.005;
+      Cluster.crash_now cluster 0;
+      Sim.delay 0.1;
+      match !outcome with
+      | Some (Mtx.Unavailable { maybe_applied = false; _ }) -> ()
+      | Some o -> Alcotest.failf "expected Unavailable (not applied), got %a" Mtx.pp_outcome o
+      | None -> Alcotest.fail "fetch never finished")
+
+let test_read_trimmed_matches_trim_slot () =
+  (* The memnode's prefix-only copy must be byte-identical to trimming a
+     full copy, for every shape of slot it can meet. *)
+  let h = Heap.create ~capacity:(1 lsl 16) () in
+  let slot_len = 512 in
+  let at i = i * slot_len in
+  let raw ~seq ~plen body =
+    let b = Bytes.make (12 + String.length body) '\000' in
+    Bytes.set_int64_le b 0 seq;
+    Bytes.set_int32_le b 8 (Int32.of_int plen);
+    Bytes.blit_string body 0 b 12 (String.length body);
+    Bytes.to_string b
+  in
+  (* 0: full slot. *)
+  Heap.write h ~off:(at 0) (raw ~seq:1L ~plen:(slot_len - 12) (String.make (slot_len - 12) 'f'));
+  (* 1: short payload over the stale tail of a longer one. *)
+  Heap.write h ~off:(at 1) (raw ~seq:2L ~plen:300 (String.make 300 'o'));
+  Heap.write h ~off:(at 1) (raw ~seq:3L ~plen:5 "short");
+  (* 2: never written. 3: written, empty payload. *)
+  Heap.write h ~off:(at 3) (raw ~seq:4L ~plen:0 "");
+  (* 4, 5: corrupt length fields, too long and negative. *)
+  Heap.write h ~off:(at 4) (raw ~seq:5L ~plen:100_000 "xyz");
+  Heap.write h ~off:(at 5) (raw ~seq:6L ~plen:(-7) "xyz");
+  List.iter
+    (fun (label, i, len) ->
+      let expect = Mtx.trim_slot (Heap.read h ~off:(at i) ~len) in
+      check Alcotest.string label expect (Memnode.read_trimmed h ~off:(at i) ~len))
+    [
+      ("full", 0, slot_len);
+      ("short", 1, slot_len);
+      ("never written", 2, slot_len);
+      ("empty payload", 3, slot_len);
+      ("corrupt: too long", 4, slot_len);
+      ("corrupt: negative", 5, slot_len);
+      ("request shorter than payload", 1, 14);
+      ("request shorter than header", 0, 8);
+      ("request exactly the header", 1, 12);
+    ]
+
 let () =
   Alcotest.run "sinfonia"
     [
@@ -792,6 +878,8 @@ let () =
           Alcotest.test_case "capacity" `Quick test_heap_capacity;
           Alcotest.test_case "equal_at" `Quick test_heap_equal_at;
           Alcotest.test_case "snapshot/restore" `Quick test_heap_snapshot_restore;
+          Alcotest.test_case "trimmed read = trimmed copy" `Quick
+            test_read_trimmed_matches_trim_slot;
           Alcotest.test_case "page boundaries" `Quick test_heap_page_boundaries;
           Alcotest.test_case "sparse high offset" `Quick test_heap_sparse_high_offset;
           QCheck_alcotest.to_alcotest prop_heap_matches_reference;
@@ -843,5 +931,6 @@ let () =
           Alcotest.test_case "blocking vs crash drain" `Quick test_blocking_race_crash_drain;
           Alcotest.test_case "mid-crash in-doubt resolved" `Quick
             test_mid_crash_in_doubt_resolved;
+          Alcotest.test_case "read-only 1PC skips redo" `Quick test_read_only_1pc_skips_redo;
         ] );
     ]
