@@ -162,27 +162,26 @@ let chaos_cmd =
      any violation. Deterministic: the same seed reproduces the same run byte for byte."
   in
   let seed_arg =
-    Arg.(value & opt int Chaos.Runner.default.Chaos.Runner.seed
-        & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
   in
   let duration_arg =
-    Arg.(value & opt float Chaos.Runner.default.Chaos.Runner.duration
+    Arg.(value & opt float 2.0
         & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated seconds of traffic.")
   in
   let hosts_arg =
-    Arg.(value & opt int Chaos.Runner.default.Chaos.Runner.hosts
+    Arg.(value & opt int 4
         & info [ "hosts" ] ~docv:"N" ~doc:"Memnode count.")
   in
   let clients_arg =
-    Arg.(value & opt int Chaos.Runner.default.Chaos.Runner.clients
+    Arg.(value & opt int 6
         & info [ "clients" ] ~docv:"N" ~doc:"Concurrent workload clients.")
   in
   let keys_arg =
-    Arg.(value & opt int Chaos.Runner.default.Chaos.Runner.keys
+    Arg.(value & opt int 160
         & info [ "keys" ] ~docv:"N" ~doc:"Key-space size.")
   in
   let phases_arg =
-    Arg.(value & opt int Chaos.Runner.default.Chaos.Runner.phases
+    Arg.(value & opt int 2
         & info [ "phases" ] ~docv:"N" ~doc:"Chaos phases (a structural audit runs after each).")
   in
   let faults_arg =
@@ -277,29 +276,37 @@ let chaos_cmd =
           prerr_endline ("unknown concurrency-control mode: " ^ other);
           exit 2
     in
+    let bug =
+      match
+        List.filter fst
+          [
+            (broken, Traffic.Engine.Dirty_leaf_reads);
+            (broken_recovery, Traffic.Engine.Skip_redo_replay);
+            (broken_branch, Traffic.Engine.Branch_leak);
+          ]
+      with
+      | [] -> None
+      | [ (_, bug) ] -> Some bug
+      | _ :: _ :: _ ->
+          prerr_endline "at most one of --broken, --broken-recovery, --broken-branch";
+          exit 2
+    in
     let cfg =
       {
-        Chaos.Runner.default with
-        Chaos.Runner.seed;
-        duration;
-        hosts;
-        clients;
-        keys;
-        phases;
-        kinds;
+        (Traffic.Scenario.chaos ~scan_heavy ~branching:(branching || broken_branch) ~clients
+           ~keys ~seed ~duration kinds)
+        with
+        Traffic.Engine.hosts;
+        chaos_phases = phases;
         mode;
-        scan_heavy;
-        broken;
-        broken_recovery;
-        branching;
-        broken_branch;
+        bug;
         scs_k;
         trace_out;
       }
     in
-    let report = Chaos.Runner.run cfg in
-    Format.printf "%a@." Chaos.Runner.pp_report report;
-    if not (Chaos.Runner.passed report) then exit 1
+    let report = Traffic.Engine.run cfg in
+    Format.printf "%a@." Traffic.Engine.pp_report report;
+    if not (Traffic.Engine.passed report) then exit 1
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(

@@ -358,3 +358,25 @@ let recover_all t =
   for i = 0 to n t - 1 do
     recover_with_retry t i
   done
+
+(* Faults injected so far, total first and then one entry per kind in
+   [all_kinds] order. Read from the run's observability registry, so it
+   also counts faults from storms that have already been stopped. *)
+let fault_counts obs =
+  let s = Obs.chaos obs in
+  ("total", Obs.Counter.value s.Obs.faults_injected)
+  :: List.map
+       (fun kind ->
+         let counter =
+           match kind with
+           | Crash -> s.Obs.crashes_injected
+           | Partition -> s.Obs.partitions_injected
+           | Delay -> s.Obs.delay_faults_injected
+           | Stall -> s.Obs.stalls_injected
+           | Scs_outage -> s.Obs.scs_outages_injected
+           | Mid_crash -> s.Obs.mid_crashes_injected
+           | Mirror_partition -> s.Obs.mirror_partitions_injected
+           | Replica_lag -> s.Obs.replica_lags_injected
+         in
+         (kind_to_string kind, Obs.Counter.value counter))
+       all_kinds

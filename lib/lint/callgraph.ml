@@ -15,8 +15,8 @@
      last-segment strategy makes umbrella re-exports
      ([Sinfonia.Memnode.f]) resolve to the real memnode.ml without
      needing to model signatures.
-   - When two files claim the same module name (chaos/workload.ml vs
-     ycsb/workload.ml), a file in the caller's own directory wins;
+   - When two files claim the same module name (core/config.ml vs
+     sinfonia/config.ml), a file in the caller's own directory wins;
      an ambiguous cross-directory reference stays unresolved rather
      than guessing.
 

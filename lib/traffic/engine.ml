@@ -12,7 +12,10 @@
 
    Every session is traced into a streaming serializability checker
    ({!Check.Stream}), so a scenario doesn't just measure the system
-   under production-shaped load — it verifies it. *)
+   under production-shaped load — it verifies it. With a fault mix
+   ([chaos]) the run becomes a phased storm: a structural audit after
+   every nemesis phase, and every linear snapshot scan re-run through
+   the per-leaf path as an oracle for the batched one. *)
 
 module Session = Minuet.Session
 module Db = Minuet.Db
@@ -21,6 +24,17 @@ module Mconfig = Minuet.Config
 module Cluster = Sinfonia.Cluster
 module Ops = Btree.Ops
 module Hist = Sim.Stats.Hist
+
+(** Deliberately injected bugs, for proving that the checker and the
+    audits can fail a run. *)
+type bug =
+  | Dirty_leaf_reads  (** Skip leaf validation on read-only traversals. *)
+  | Skip_redo_replay
+      (** Skip the redo-log replay on replica promotion and recovery, so
+          committed-but-unmirrored writes are lost. *)
+  | Branch_leak
+      (** Reads at read-only versions leak the mainline tip's writes.
+          Needs [branching]. *)
 
 type config = {
   name : string;
@@ -32,6 +46,11 @@ type config = {
   chaos : Chaos.Nemesis.kind list;  (** Empty = no fault injection. *)
   chaos_phases : int;
   branching : bool;  (** Run the database in branching mode (Sec. 5). *)
+  mode : Ops.mode;  (** Concurrency-control mode the trees run under. *)
+  bug : bug option;  (** [None] for honest runs. *)
+  trace_out : string option;
+      (** Tee every traced event to this file as JSON lines
+          ({!Minuet.Session.Event.to_json}), for offline re-checking. *)
 }
 
 let default =
@@ -45,6 +64,9 @@ let default =
     chaos = [];
     chaos_phases = 2;
     branching = false;
+    mode = Ops.Dirty_traversal;
+    bug = None;
+    trace_out = None;
   }
 
 type tenant_result = {
@@ -66,6 +88,7 @@ type report = {
   verdict : Check.Stream.verdict;
   audits : int;
   audit_failures : string list;
+  dual_scans : int;  (** Snapshot scans re-checked against the per-leaf path. *)
   events : int;  (** History events fed to the checker. *)
   fault_counts : (string * int) list;
   sim_time : float;
@@ -92,10 +115,13 @@ let pp_report fmt r =
     (if r.config.chaos = [] then "" else ", chaos");
   List.iter (fun t -> Format.fprintf fmt "%a@," pp_tenant_result t) r.tenants;
   Format.fprintf fmt "history: %d events@,audits: %d passed" r.events r.audits;
+  if r.dual_scans > 0 then Format.fprintf fmt ", %d dual scans" r.dual_scans;
   List.iter (fun msg -> Format.fprintf fmt "@,AUDIT FAILED: %s" msg) r.audit_failures;
-  if r.fault_counts <> [] then begin
+  if r.config.chaos <> [] then begin
     Format.fprintf fmt "@,faults:";
-    List.iter (fun (name, v) -> if v > 0 then Format.fprintf fmt " %s=%d" name v) r.fault_counts
+    List.iter
+      (fun (name, v) -> if v > 0 || name = "total" then Format.fprintf fmt " %s=%d" name v)
+      r.fault_counts
   end;
   Format.fprintf fmt "@,%a@,simulated time: %.3fs@]" Check.Stream.pp_verdict r.verdict
     r.sim_time
@@ -113,9 +139,9 @@ type meter = {
 type queue_msg = Arrive of float | Stop
 
 (* Shared frozen-version registry for branching traffic (cooperative
-   sim: plain mutation is safe). Bounded like the chaos registry; the
-   survivors get a structural audit at the end of the run. *)
-type branch_state = { mutable frozen : int64 list; mutable tips : int64 list }
+   sim: plain mutation is safe). Bounded; the survivors are
+   structurally audited after every nemesis phase and at the end. *)
+type branch_state = { mutable frozen : int64 list }
 
 let note_frozen bs sid =
   if not (List.mem sid bs.frozen) then
@@ -128,22 +154,33 @@ let lease = 0.05
 
 let key_of ~offset ordinal = Ycsb.Keygen.key_of_int (offset + ordinal)
 
-let run_exn (cfg : config) =
+let validate (cfg : config) =
   if cfg.tenants = [] then invalid_arg "Traffic.Engine.run: no tenants";
   if cfg.duration <= 0.0 then invalid_arg "Traffic.Engine.run: duration must be positive";
   if cfg.chaos <> [] && cfg.chaos_phases <= 0 then
     invalid_arg "Traffic.Engine.run: chaos_phases must be positive";
+  if cfg.bug = Some Branch_leak && not cfg.branching then
+    invalid_arg "Traffic.Engine.run: Branch_leak needs a branching database"
+
+let run_exn ~audits ~audit_failures (cfg : config) =
   let mconfig =
     Mconfig.small_tree
       {
         Mconfig.default with
         Mconfig.hosts = cfg.hosts;
+        mode = cfg.mode;
         branching = cfg.branching;
+        broken_branch_isolation = cfg.bug = Some Branch_leak;
+        unsafe_dirty_leaf_reads = cfg.bug = Some Dirty_leaf_reads;
         scs_min_interval = cfg.scs_k;
         sinfonia =
           {
             Sinfonia.Config.default with
-            Sinfonia.Config.in_doubt_grace = 0.06;
+            Sinfonia.Config.broken_recovery = cfg.bug = Some Skip_redo_replay;
+            (* Short in-doubt grace so the resolver fires within a
+               phase; infinite decision retention so the final 2PC
+               cross-check sees every decision record. *)
+            in_doubt_grace = 0.06;
             decision_retention = infinity;
           };
       }
@@ -151,16 +188,36 @@ let run_exn (cfg : config) =
   Harness.run ~seed:cfg.seed ~until:((cfg.duration *. 6.) +. 30.) ~config:mconfig @@ fun db ->
   let cluster = Db.cluster db in
   let n = Cluster.n_memnodes cluster in
+  (* Orphaned-lock recovery must be running: stall faults are healed
+     only by the lease daemon. *)
   Cluster.start_recovery ~lease ~interval:0.02 cluster;
   let scs_staleness = if cfg.scs_k > 0.0 then Some cfg.scs_k else None in
   let stream =
     Check.Stream.create { Check.Stream.Config.default with Check.Stream.Config.scs_staleness }
   in
-  let tracer ev = Check.Stream.feed stream ev in
+  let trace_tee = Option.map open_out cfg.trace_out in
+  let tracer ev =
+    Option.iter
+      (fun oc ->
+        output_string oc (Obs.Json.to_string (Session.Event.to_json ev));
+        output_char oc '\n')
+      trace_tee;
+    Check.Stream.feed stream ev
+  in
   for idx = 0 to Db.n_trees db - 1 do
     Mvcc.Scs.set_on_create (Db.scs db ~index:idx) (fun ~sid ~stamp ->
         Check.Stream.add_creation stream ~index:idx ~sid ~stamp)
   done;
+  let audit_failed msg = audit_failures := !audit_failures @ [ msg ] in
+  let audit label f =
+    match (f () : (string * string) list) with
+    | entries ->
+        incr audits;
+        Some entries
+    | exception Failure msg ->
+        audit_failed (Printf.sprintf "%s: %s" label msg);
+        None
+  in
   (* Slice the ordinal space: tenant i owns [offsets.(i), offsets.(i) +
      keys), mapped through the order-preserving key format. *)
   let tenants = Array.of_list cfg.tenants in
@@ -175,13 +232,12 @@ let run_exn (cfg : config) =
   (* Preload half of every slice through a traced session so the
      checker's model includes the initial state. *)
   let loader = Session.attach ~tracer db in
-  let branch_handle session = Session.branching session in
   Array.iteri
     (fun i (t : Tenant.t) ->
       for o = 0 to t.Tenant.keys - 1 do
         if o mod 2 = 0 then begin
           let k = key_of ~offset:offsets.(i) o and v = Printf.sprintf "init-%d-%d" i o in
-          if cfg.branching then Mvcc.Branching.put (branch_handle loader) k v
+          if cfg.branching then Mvcc.Branching.put (Session.branching loader) k v
           else Session.put loader k v
         end
       done)
@@ -208,7 +264,22 @@ let run_exn (cfg : config) =
         Arrival.schedule t.Tenant.arrival ~seed:cfg.seed ~tenant_id:i ~until:cfg.duration)
       tenants
   in
-  let bstates = Array.map (fun _ -> { frozen = []; tips = [] }) tenants in
+  let bstates = Array.map (fun _ -> { frozen = [] }) tenants in
+  (* Batched-vs-per-leaf oracle for linear snapshot scans under faults.
+     Snapshots are immutable, so both paths must return the same
+     entries; a difference is a batching bug and fails the run. *)
+  let dual_scans = ref 0 in
+  let scan_mismatches = ref 0 in
+  let dual_scan_check session ((snap : Session.snapshot), from, count, batched) =
+    let tree = Session.tree_of session (Session.index db snap.Session.index) in
+    let vctx_of _txn = Ops.Linear.at_snapshot tree ~sid:snap.Session.sid ~root:snap.Session.root in
+    match Ops.scan ~batch:1 tree ~vctx_of ~from ~count with
+    | per_leaf ->
+        incr dual_scans;
+        let same (k1, v1) (k2, v2) = String.equal k1 k2 && String.equal v1 v2 in
+        if not (List.equal same batched per_leaf) then incr scan_mismatches
+    | exception (Ops.Too_contended _ | Ops.Ambiguous _) -> ()
+  in
   (* Schedules are offsets from the start of traffic, not from sim time
      zero: the preload above consumed simulated time, and anchoring at
      zero would make every arrival scheduled during it instantly late. *)
@@ -221,64 +292,68 @@ let run_exn (cfg : config) =
       let keygen = Tenant.keygen tenant in
       let rng = Sim.Rng.split op_rng_root in
       let bstate = bstates.(ti) in
+      let count = tenant.Tenant.scan_count in
       let pick_key () = key_of ~offset (Ycsb.Keygen.next keygen rng) in
-      let exec_linear session op_id kind =
+      (* Returns the snapshot scan to re-check through the per-leaf
+         path, if any; the check runs after the op's latency is
+         recorded. *)
+      let exec_linear session value kind =
         let k = pick_key () in
         match (kind : Tenant.op_kind) with
-        | Tenant.Read -> ignore (Session.get session k : string option)
+        | Tenant.Read ->
+            ignore (Session.get session k : string option);
+            None
         | Tenant.Update ->
-            Session.put session k (Printf.sprintf "t%d-%d" ti op_id)
+            Session.put session k (value ());
+            None
+        | Tenant.Remove ->
+            ignore (Session.remove session k : bool);
+            None
         | Tenant.Scan ->
-            ignore
-              (Session.scan session ~from:k ~count:tenant.Tenant.scan_count
-                : (string * string) list)
+            ignore (Session.scan session ~from:k ~count : (string * string) list);
+            None
         | Tenant.Snapshot_read ->
             let snap = Session.snapshot session in
             ignore (Session.get_at session snap k : string option);
-            ignore
-              (Session.scan_at session snap ~from:k ~count:tenant.Tenant.scan_count
-                : (string * string) list)
+            let batched = Session.scan_at session snap ~from:k ~count in
+            if cfg.chaos = [] then None else Some (snap, k, count, batched)
         | Tenant.Branch_op ->
             (* Linear database: downgrade to a snapshot read. *)
             let snap = Session.snapshot session in
-            ignore (Session.get_at session snap k : string option)
+            ignore (Session.get_at session snap k : string option);
+            None
       in
-      let exec_branching session tips op_id kind =
+      let exec_branching session tips value kind =
         let module B = Mvcc.Branching in
-        let br = branch_handle session in
+        let br = Session.branching session in
         let k = pick_key () in
-        let value () = Printf.sprintf "t%d-%d" ti op_id in
-        match (kind : Tenant.op_kind) with
+        (match (kind : Tenant.op_kind) with
         | Tenant.Read -> ignore (B.get br k : string option)
         | Tenant.Update -> B.put br k (value ())
+        | Tenant.Remove -> ignore (B.remove br k : bool)
         | Tenant.Scan -> (
             (* Pin scans to a frozen version when one exists: immutable,
                so they never abort under concurrent updates (the
                branching-mode analogue of scan_at, Sec. 6.3). *)
             match bstate.frozen with
-            | [] ->
-                ignore (B.scan br ~from:k ~count:tenant.Tenant.scan_count : (string * string) list)
-            | sid :: _ ->
-                ignore
-                  (B.scan br ~at:sid ~from:k ~count:tenant.Tenant.scan_count
-                    : (string * string) list))
+            | [] -> ignore (B.scan br ~from:k ~count : (string * string) list)
+            | sid :: _ -> ignore (B.scan br ~at:sid ~from:k ~count : (string * string) list))
         | Tenant.Snapshot_read -> (
             (* Version-pinned read: the frozen-ancestor rule checks it. *)
             match bstate.frozen with
             | [] -> ignore (B.get br k : string option)
             | sid :: _ ->
                 ignore (B.get br ~at:sid k : string option);
-                ignore
-                  (B.scan br ~at:sid ~from:k ~count:tenant.Tenant.scan_count
-                    : (string * string) list))
+                ignore (B.scan br ~at:sid ~from:k ~count : (string * string) list))
         | Tenant.Branch_op -> (
+            let newest_tip = match !tips with tip :: _ -> Some tip | [] -> None in
             match Sim.Rng.int rng 8 with
             | 0 | 1 ->
                 (* A tip we branch from freezes; on an ambiguous outcome
                    drop it from the writable set — writing to a
                    maybe-frozen version would be a real isolation bug,
                    not injected noise. *)
-                let from = match !tips with tip :: _ -> tip | [] -> 0L in
+                let from = Option.value newest_tip ~default:0L in
                 let cleanup () =
                   tips := List.filter (fun t -> not (Int64.equal t from)) !tips;
                   note_frozen bstate from
@@ -292,19 +367,34 @@ let run_exn (cfg : config) =
                 cleanup ();
                 tips := sid :: !tips
             | 2 -> (
+                (* Retire the oldest clone; stop touching it first, so an
+                   ambiguous delete cannot strand later writes. *)
                 match List.rev !tips with
                 | [] -> ignore (B.get br k : string option)
                 | oldest :: _ ->
                     tips := List.filter (fun t -> not (Int64.equal t oldest)) !tips;
                     B.delete_branch br oldest)
+            | 3 ->
+                (* Horizontal query across the mainline, the newest frozen
+                   version and our newest clone, read atomically. *)
+                let at =
+                  (0L :: (match bstate.frozen with sid :: _ -> [ sid ] | [] -> []))
+                  @ Option.to_list newest_tip
+                in
+                ignore (B.get_many br ~at k : (int64 * string option) list)
+            | 4 ->
+                (* Vertical query up our newest clone's ancestor chain. *)
+                let from = Option.value newest_tip ~default:0L in
+                ignore (B.history br ~from k : (int64 * string option) list)
+            | 5 -> (
+                match newest_tip with
+                | None -> ignore (B.remove br k : bool)
+                | Some tip -> ignore (B.remove br ~at:tip k : bool))
             | _ -> (
-                match !tips with
-                | [] -> B.put br k (value ())
-                | tip :: _ -> B.put br ~at:tip k (value ())))
-      in
-      let exec session tips op_id kind =
-        if cfg.branching then exec_branching session tips op_id kind
-        else exec_linear session op_id kind
+                match newest_tip with
+                | None -> B.put br k (value ())
+                | Some tip -> B.put br ~at:tip k (value ()))));
+        None
       in
       (* Dispatcher: offer each op at its scheduled instant. *)
       Sim.spawn ~name:(Printf.sprintf "traffic-dispatch-%s" tenant.Tenant.name) (fun () ->
@@ -324,7 +414,15 @@ let run_exn (cfg : config) =
         incr worker_seq;
         let session = Session.attach ~home:(wid mod n) ~client:(n + wid) ~tracer db in
         let op_count = ref 0 in
+        (* Written values are unique per run: the checker tells writes
+           apart by value, both to resolve ambiguous ops and to catch
+           stale reads. *)
+        let value () = Printf.sprintf "t%d-w%d-%d" ti wid !op_count in
         let tips = ref [] in
+        let exec kind =
+          if cfg.branching then exec_branching session tips value kind
+          else exec_linear session value kind
+        in
         Sim.spawn ~name:(Printf.sprintf "traffic-%s-w%d" tenant.Tenant.name wid) (fun () ->
             let rec loop () =
               match Sim.Mailbox.recv queue with
@@ -336,12 +434,13 @@ let run_exn (cfg : config) =
                   Hist.add meter.m_queueing (issued -. scheduled);
                   incr op_count;
                   let kind = Tenant.draw_op tenant rng in
-                  (match exec session tips !op_count kind with
-                  | () ->
+                  (match exec kind with
+                  | recheck ->
                       let now = Sim.now () in
                       meter.m_completed <- meter.m_completed + 1;
                       Hist.add meter.m_latency (now -. scheduled);
-                      Hist.add meter.m_service (now -. issued)
+                      Hist.add meter.m_service (now -. issued);
+                      Option.iter (dual_scan_check session) recheck
                   | exception Ops.Too_contended _ -> meter.m_errors <- meter.m_errors + 1
                   | exception Ops.Ambiguous _ -> meter.m_errors <- meter.m_errors + 1
                   | exception
@@ -353,8 +452,41 @@ let run_exn (cfg : config) =
             loop ())
       done)
     tenants;
-  (* Optional chaos overlap: phased storms while the traffic runs, the
-     same start/drain/heal cycle as the chaos runner. *)
+  let admin = Session.attach db in
+  (* Structural audits that are safe under concurrent traffic: a linear
+     index is walked at a fresh snapshot, a branching one over every
+     registered frozen version (both immutable; GC is off). *)
+  let audit_versions () =
+    let br = Session.branching admin in
+    Array.iteri
+      (fun ti bstate ->
+        List.iter
+          (fun sid ->
+            ignore
+              (audit (Printf.sprintf "tenant %d version %Ld" ti sid) (fun () ->
+                   Ops.audit (Mvcc.Branching.tree br) ~sid
+                     ~root:(Mvcc.Branching.root_of br ~sid))
+                : (string * string) list option))
+          bstate.frozen)
+      bstates
+  in
+  let audit_phase () =
+    if cfg.branching then audit_versions ()
+    else
+      for idx = 0 to Db.n_trees db - 1 do
+        ignore
+          (audit (Printf.sprintf "index %d" idx) (fun () ->
+               let index = Session.index db idx in
+               let snap = Session.snapshot ~index admin in
+               Ops.audit (Session.tree_of admin index) ~sid:snap.Session.sid
+                 ~root:snap.Session.root)
+            : (string * string) list option)
+      done
+  in
+  (* Chaos overlap: phased storms while the traffic runs. Each phase
+     heals everything it broke, lets the lease daemon reap orphaned
+     stall locks and the in-doubt resolver pass its grace period, then
+     audits. *)
   let scs = Array.init (Db.n_trees db) (fun i -> Db.scs db ~index:i) in
   let nemesis = Chaos.Nemesis.create ~cluster ~scs ~n_clients:!worker_seq in
   if cfg.chaos <> [] then begin
@@ -365,7 +497,8 @@ let run_exn (cfg : config) =
       Sim.delay phase_dur;
       Chaos.Nemesis.stop_and_drain nemesis;
       Chaos.Nemesis.recover_all nemesis;
-      Sim.delay (lease +. 0.12)
+      Sim.delay (lease +. 0.12);
+      audit_phase ()
     done
   end;
   Sim.Ivar.read finished;
@@ -381,47 +514,28 @@ let run_exn (cfg : config) =
     in
     drain 40
   end;
-  (* Final structural audits, then the checker verdict. *)
-  let admin = Session.attach db in
-  let audits = ref 0 in
-  let audit_failures = ref [] in
+  (* Final structural audits, then the checker verdict. Branching mode
+     has no meaningful tip, so its frozen versions stand in for it. *)
   let final =
     if cfg.branching then begin
-      (* No meaningful tip in branching mode; structurally audit every
-         frozen version the tenants created instead (immutable, so safe
-         to walk while the mainline keeps its final state). *)
-      let br = branch_handle admin in
-      Array.iteri
-        (fun ti bstate ->
-          List.iter
-            (fun sid ->
-              match
-                (Ops.audit (Mvcc.Branching.tree br) ~sid ~root:(Mvcc.Branching.root_of br ~sid)
-                  : (string * string) list)
-              with
-              | (_ : (string * string) list) -> incr audits
-              | exception Failure msg ->
-                  audit_failures :=
-                    !audit_failures
-                    @ [ Printf.sprintf "tenant %d version %Ld audit: %s" ti sid msg ])
-            bstate.frozen)
-        bstates;
+      audit_versions ();
       []
     end
     else
-      List.init (Db.n_trees db) (fun idx ->
-          let index = Session.index db idx in
-          let tree = Session.tree_of admin index in
-          let sid, root = Ops.run_txn tree (fun txn -> Ops.Linear.read_tip tree txn) in
-          match Ops.audit tree ~sid ~root with
-          | entries ->
-              incr audits;
-              [ (idx, entries) ]
-          | exception Failure msg ->
-              audit_failures := !audit_failures @ [ Printf.sprintf "index %d: %s" idx msg ];
-              [])
-      |> List.concat
+      List.filter_map
+        (fun idx ->
+          let tree = Session.tree_of admin (Session.index db idx) in
+          audit (Printf.sprintf "index %d" idx) (fun () ->
+              let sid, root = Ops.run_txn tree (fun txn -> Ops.Linear.read_tip tree txn) in
+              Ops.audit tree ~sid ~root)
+          |> Option.map (fun entries -> (idx, entries)))
+        (List.init (Db.n_trees db) Fun.id)
   in
+  if !scan_mismatches > 0 then
+    audit_failed
+      (Printf.sprintf "%d of %d dual scans: batched result differed from per-leaf scan"
+         !scan_mismatches !dual_scans);
+  Option.iter close_out trace_tee;
   let events = Check.Stream.fed stream in
   let verdict =
     Check.Stream.finish ~final
@@ -453,28 +567,61 @@ let run_exn (cfg : config) =
            })
          (Array.to_seq tenants))
   in
-  let stats = Obs.chaos (Db.obs db) in
-  let fault_counts =
-    if cfg.chaos = [] then []
-    else
-      [
-        ("total", Obs.Counter.value stats.Obs.faults_injected);
-        ("crash", Obs.Counter.value stats.Obs.crashes_injected);
-        ("partition", Obs.Counter.value stats.Obs.partitions_injected);
-        ("delay", Obs.Counter.value stats.Obs.delay_faults_injected);
-        ("stall", Obs.Counter.value stats.Obs.stalls_injected);
-        ("scs", Obs.Counter.value stats.Obs.scs_outages_injected);
-      ]
-  in
   {
     config = cfg;
     tenants = tenant_results;
     verdict;
     audits = !audits;
     audit_failures = !audit_failures;
+    dual_scans = !dual_scans;
     events;
-    fault_counts;
+    fault_counts = Chaos.Nemesis.fault_counts (Db.obs db);
     sim_time = Sim.now ();
   }
 
-let run = run_exn
+(* With a bug injected, the corruption can crash the run itself (a lost
+   committed write can wedge a traversal or starve snapshot creation)
+   before the checker sees the history. That is still the bug being
+   caught, so it is reported as a failed run. Honest runs propagate
+   exceptions unchanged: a crash there is a harness bug. The config is
+   validated first, so a bad config is never mistaken for a caught bug. *)
+let run cfg =
+  validate cfg;
+  (* Kept outside the simulation so that a crash report still carries
+     the audits that failed before the crash. *)
+  let audits = ref 0 and audit_failures = ref [] in
+  match cfg.bug with
+  | None -> run_exn ~audits ~audit_failures cfg
+  | Some _ -> (
+      match run_exn ~audits ~audit_failures cfg with
+      | report -> report
+      | exception ((Failure _ | Invalid_argument _) as e) ->
+          let crashed =
+            {
+              Check.Checker.v_index = -1;
+              v_message =
+                "run crashed before the checker could complete: " ^ Printexc.to_string e;
+              v_event = None;
+              v_context = [];
+            }
+          in
+          {
+            config = cfg;
+            tenants = [];
+            verdict =
+              {
+                Check.Checker.violations = [ crashed ];
+                inconclusive = [];
+                ops_checked = 0;
+                snapshot_reads_checked = 0;
+                branch_reads_checked = 0;
+                candidates_resolved = 0;
+                twopc_checked = 0;
+              };
+            audits = !audits;
+            audit_failures = !audit_failures;
+            dual_scans = 0;
+            events = 0;
+            fault_counts = [];
+            sim_time = 0.0;
+          })

@@ -19,24 +19,31 @@ type distribution =
     [snapshot] ops take an SCS snapshot and run a read + a range scan
     against it (the paper's analytics path); [branch] ops exercise
     branching-mode version traffic and are ignored unless the scenario
-    runs a branching database. *)
+    runs a branching database. [remove] is drawn last, so the other
+    kinds' draws do not depend on whether a mix removes. *)
 type mix = {
   read : float;
   update : float;
   scan : float;
   snapshot : float;
   branch : float;
+  remove : float;
 }
 
-let read_mostly = { read = 0.9; update = 0.1; scan = 0.0; snapshot = 0.0; branch = 0.0 }
+let read_mostly =
+  { read = 0.9; update = 0.1; scan = 0.0; snapshot = 0.0; branch = 0.0; remove = 0.0 }
 
-let update_heavy = { read = 0.45; update = 0.55; scan = 0.0; snapshot = 0.0; branch = 0.0 }
+let update_heavy =
+  { read = 0.45; update = 0.55; scan = 0.0; snapshot = 0.0; branch = 0.0; remove = 0.0 }
 
-let scan_heavy = { read = 0.2; update = 0.2; scan = 0.35; snapshot = 0.25; branch = 0.0 }
+let scan_heavy =
+  { read = 0.2; update = 0.2; scan = 0.35; snapshot = 0.25; branch = 0.0; remove = 0.0 }
 
-let analytics = { read = 0.1; update = 0.0; scan = 0.1; snapshot = 0.8; branch = 0.0 }
+let analytics =
+  { read = 0.1; update = 0.0; scan = 0.1; snapshot = 0.8; branch = 0.0; remove = 0.0 }
 
-let branchy = { read = 0.3; update = 0.3; scan = 0.1; snapshot = 0.0; branch = 0.3 }
+let branchy =
+  { read = 0.3; update = 0.3; scan = 0.1; snapshot = 0.0; branch = 0.3; remove = 0.0 }
 
 type t = {
   name : string;
@@ -57,7 +64,7 @@ let make ?(keys = 256) ?(distribution = Uniform) ?(mix = read_mostly) ?(scan_cou
   if keys <= 0 then invalid_arg "Tenant.make: keys must be positive";
   if concurrency <= 0 then invalid_arg "Tenant.make: concurrency must be positive";
   if scan_count <= 0 then invalid_arg "Tenant.make: scan_count must be positive";
-  let total = mix.read +. mix.update +. mix.scan +. mix.snapshot +. mix.branch in
+  let total = mix.read +. mix.update +. mix.scan +. mix.snapshot +. mix.branch +. mix.remove in
   if total <= 0.0 then invalid_arg "Tenant.make: empty mix";
   let slo = match slo with Some s -> s | None -> Slo.make () in
   { name; keys; distribution; mix; scan_count; arrival; concurrency; slo }
@@ -70,14 +77,15 @@ let keygen t =
   | Hotspot { op_frac; key_frac } -> Ycsb.Keygen.hotspot ~op_frac ~key_frac ~n:t.keys ()
 
 (** The concrete op kinds a worker executes. *)
-type op_kind = Read | Update | Scan | Snapshot_read | Branch_op
+type op_kind = Read | Update | Scan | Snapshot_read | Branch_op | Remove
 
 let draw_op t rng =
   let m = t.mix in
-  let total = m.read +. m.update +. m.scan +. m.snapshot +. m.branch in
-  let pick = Sim.Rng.float rng total in
+  let to_branch = m.read +. m.update +. m.scan +. m.snapshot +. m.branch in
+  let pick = Sim.Rng.float rng (to_branch +. m.remove) in
   if pick < m.read then Read
   else if pick < m.read +. m.update then Update
   else if pick < m.read +. m.update +. m.scan then Scan
   else if pick < m.read +. m.update +. m.scan +. m.snapshot then Snapshot_read
-  else Branch_op
+  else if pick < to_branch || m.remove = 0.0 then Branch_op
+  else Remove

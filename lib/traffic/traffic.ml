@@ -14,8 +14,12 @@
     queueing delay from under-provisioning lands in the tail quantiles
     instead of silently throttling the generator (coordinated
     omission) — while feeding every traced event to a streaming
-    serializability checker and optionally overlapping a chaos nemesis.
-    {!Scenario} is the canned catalogue the bench CLI and CI run. *)
+    serializability checker and optionally overlapping a chaos nemesis
+    in phases, with a structural audit after each phase and a
+    batched-vs-per-leaf oracle on snapshot scans. It is the repo's one
+    load driver: {!Scenario} holds the canned catalogue the bench CLI
+    and CI run, and {!Scenario.chaos} the one-tenant fault storm behind
+    [minuet_bench chaos]. *)
 
 module Arrival = Arrival
 module Slo = Slo

@@ -1,6 +1,13 @@
 (* Tests for the open-loop traffic engine: arrival-schedule determinism
-   and independence, spike placement, SLO evaluation, and small
-   end-to-end scenarios through the engine and streaming checker. *)
+   and independence, spike placement, SLO evaluation, small end-to-end
+   scenarios through the engine and streaming checker, and fault storms
+   (clean runs verified by the checker and audits, injected bugs being
+   caught, deterministic replay, and a qcheck property over random
+   fault schedules whose shrinking minimises the seed and the fault
+   mix). *)
+
+module Engine = Traffic.Engine
+module Nemesis = Chaos.Nemesis
 
 let check = Alcotest.check
 
@@ -224,6 +231,172 @@ let test_scenarios_catalogued () =
       Alcotest.fail "unknown scenario accepted"
   | exception Invalid_argument _ -> ()
 
+let test_write_values_unique () =
+  (* The checker tells writes apart by value, both to resolve ambiguous
+     ops and to catch stale reads, so no two puts may write the same
+     value to the same key — even from two workers of one tenant
+     hammering the same hot keys. *)
+  let path = Filename.temp_file "traffic-trace" ".jsonl" in
+  let cfg =
+    { (Traffic.Scenario.shard_hotspot ~seed:7 ~duration:0.5) with Engine.trace_out = Some path }
+  in
+  let r = Engine.run cfg in
+  check Alcotest.bool "checker ok" true (Check.Stream.ok r.Engine.verdict);
+  let seen = Hashtbl.create 4096 in
+  let puts = ref 0 in
+  let ic = open_in path in
+  (try
+     while true do
+       let ev = Minuet.Session.Event.of_json (Obs.Json.parse (input_line ic)) in
+       match ev.Minuet.Session.Event.op with
+       | Minuet.Session.Event.Put { key; value } | Branch_put { key; value; _ } ->
+           incr puts;
+           if Hashtbl.mem seen (key, value) then
+             Alcotest.failf "value %S written to %S twice" value key;
+           Hashtbl.replace seen (key, value) ()
+       | _ -> ()
+     done
+   with End_of_file -> ());
+  close_in ic;
+  Sys.remove path;
+  check Alcotest.bool "puts traced" true (!puts > 500)
+
+(* ------------------------------------------------------------------ *)
+(* Fault storms                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let small_storm ?(seed = 11) ?(duration = 0.3) ?(kinds = Nemesis.all_kinds) ?bug
+    ?(scs_k = 0.0) () =
+  {
+    (Traffic.Scenario.chaos ~clients:4 ~keys:48 ~seed ~duration kinds) with
+    Engine.hosts = 3;
+    chaos_phases = 1;
+    bug;
+    scs_k;
+  }
+
+let report_string r = Format.asprintf "%a" Engine.pp_report r
+
+let test_clean_run_passes () =
+  let r = Engine.run (small_storm ()) in
+  if not (Engine.passed r) then Alcotest.failf "chaos run failed:@.%a" Engine.pp_report r;
+  check Alcotest.bool "ops ran" true (r.Engine.verdict.Check.Checker.ops_checked > 0);
+  check Alcotest.bool "history recorded" true (r.Engine.events > 0);
+  (* One audit after the phase plus the final one. *)
+  check Alcotest.int "audits ran" 2 r.Engine.audits;
+  check Alcotest.bool "dual scans ran" true (r.Engine.dual_scans > 0)
+
+let test_faults_injected () =
+  let r = Engine.run (small_storm ~duration:0.5 ()) in
+  let total = List.assoc "total" r.Engine.fault_counts in
+  check Alcotest.bool "faults injected" true (total > 0)
+
+let test_no_fault_baseline () =
+  let r = Engine.run (small_storm ~kinds:[] ()) in
+  if not (Engine.passed r) then Alcotest.failf "baseline failed:@.%a" Engine.pp_report r;
+  check Alcotest.int "no faults" 0 (List.assoc "total" r.Engine.fault_counts)
+
+let test_deterministic_replay () =
+  (* A whole run is a pure function of its seed: the full report —
+     per-tenant counts and latencies, fault schedule, history size,
+     verdict — must be byte-identical across runs. *)
+  let cfg = small_storm ~seed:23 ~duration:0.4 () in
+  let a = report_string (Engine.run cfg) in
+  let b = report_string (Engine.run cfg) in
+  check Alcotest.string "same seed, same report" a b;
+  let c = report_string (Engine.run { cfg with Engine.seed = 24 }) in
+  check Alcotest.bool "different seed, different run" true (a <> c)
+
+let test_each_kind_alone () =
+  List.iter
+    (fun kind ->
+      let r = Engine.run (small_storm ~kinds:[ kind ] ()) in
+      if not (Engine.passed r) then
+        Alcotest.failf "run with only %s faults failed:@.%a" (Nemesis.kind_to_string kind)
+          Engine.pp_report r)
+    Nemesis.all_kinds
+
+let test_broken_mode_caught () =
+  (* Dirty_leaf_reads skips leaf validation on read-only traversals;
+     the checker must catch the resulting stale reads and report a
+     counterexample. *)
+  let r = Engine.run (small_storm ~seed:11 ~duration:0.5 ~bug:Engine.Dirty_leaf_reads ()) in
+  check Alcotest.bool "broken run fails" false (Engine.passed r);
+  check Alcotest.bool "violations reported" true
+    (r.Engine.verdict.Check.Checker.violations <> []);
+  (* The counterexample names the operation that exposed the bug. *)
+  let first = List.hd r.Engine.verdict.Check.Checker.violations in
+  check Alcotest.bool "counterexample has the event" true
+    (first.Check.Checker.v_event <> None)
+
+let test_broken_recovery_caught () =
+  (* Skip_redo_replay skips the redo-log replay when a replica is
+     promoted or a crashed primary is restored, so committed writes
+     whose mirror never arrived are silently lost. Under mid-2PC
+     crashes the run must fail — the checker reports lost updates, a
+     per-phase audit catches a torn tree, or the corruption crashes the
+     run outright (also reported as a failure). *)
+  let r =
+    Engine.run
+      (small_storm ~seed:7 ~duration:0.5
+         ~kinds:[ Nemesis.Mid_crash; Nemesis.Replica_lag ]
+         ~bug:Engine.Skip_redo_replay ())
+  in
+  check Alcotest.bool "broken recovery caught" false (Engine.passed r)
+
+let test_phase_audit_catches_lost_writes () =
+  (* A run where the checker misses the lost writes of Skip_redo_replay
+     and only the structural audits see the torn tree. The final audit
+     contributes at most one failure per index, so a second failure
+     proves an audit after a nemesis phase fired. *)
+  let cfg =
+    {
+      (small_storm ~seed:6 ~duration:0.5
+         ~kinds:[ Nemesis.Mid_crash; Nemesis.Replica_lag ]
+         ~bug:Engine.Skip_redo_replay ())
+      with
+      Engine.chaos_phases = 2;
+    }
+  in
+  let r = Engine.run cfg in
+  check Alcotest.bool "checker misses it" true (Check.Stream.ok r.Engine.verdict);
+  check Alcotest.bool "a phase audit failed" true (List.length r.Engine.audit_failures >= 2);
+  check Alcotest.bool "run failed" false (Engine.passed r)
+
+let test_staleness_bound_passes () =
+  (* With a staleness bound k > 0 the checker relaxes the SCS rule by
+     exactly k rather than dropping it; a clean run must still pass. *)
+  let r = Engine.run (small_storm ~seed:5 ~scs_k:0.02 ()) in
+  if not (Engine.passed r) then Alcotest.failf "staleness run failed:@.%a" Engine.pp_report r
+
+let test_twopc_records_checked () =
+  (* Fault runs retain every 2PC decision record; the final verdict
+     must actually cross-check them. *)
+  let r = Engine.run (small_storm ~kinds:[ Nemesis.Mid_crash ] ()) in
+  if not (Engine.passed r) then Alcotest.failf "midcrash run failed:@.%a" Engine.pp_report r;
+  check Alcotest.bool "2pc records checked" true
+    (r.Engine.verdict.Check.Checker.twopc_checked > 0)
+
+let test_kind_names_roundtrip () =
+  List.iter
+    (fun kind ->
+      match Nemesis.kind_of_string (Nemesis.kind_to_string kind) with
+      | Some k -> check Alcotest.bool "roundtrip" true (k = kind)
+      | None -> Alcotest.failf "kind %s does not roundtrip" (Nemesis.kind_to_string kind))
+    Nemesis.all_kinds;
+  check Alcotest.bool "unknown rejected" true (Nemesis.kind_of_string "meteor" = None)
+
+(* Any short fault schedule — any seed, any subset of fault kinds — must
+   produce a history the checker accepts. On failure qcheck shrinks the
+   schedule: the seed toward 0 and the fault mask toward the empty mix,
+   yielding a minimal failing configuration. *)
+let prop_any_schedule_passes =
+  QCheck.Test.make ~name:"any chaos schedule passes the checker" ~count:6
+    QCheck.(pair (int_bound 999) (int_bound 255))
+    (fun (seed, mask) ->
+      let kinds = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) Nemesis.all_kinds in
+      Engine.passed (Engine.run (small_storm ~seed ~duration:0.2 ~kinds ())))
+
 let () =
   Alcotest.run "traffic"
     [
@@ -244,5 +417,24 @@ let () =
           Alcotest.test_case "underprovision breaches SLO" `Quick
             test_engine_underprovision_breaches_slo;
           Alcotest.test_case "scenario catalogue" `Quick test_scenarios_catalogued;
+          Alcotest.test_case "write values unique" `Quick test_write_values_unique;
         ] );
+      (* Fault storms; the group keeps the name of the driver it
+         replaced, so its test ids stay stable. *)
+      ( "runner",
+        [
+          Alcotest.test_case "clean run passes" `Quick test_clean_run_passes;
+          Alcotest.test_case "faults injected" `Quick test_faults_injected;
+          Alcotest.test_case "no-fault baseline" `Quick test_no_fault_baseline;
+          Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
+          Alcotest.test_case "each kind alone" `Quick test_each_kind_alone;
+          Alcotest.test_case "broken mode caught" `Quick test_broken_mode_caught;
+          Alcotest.test_case "broken recovery caught" `Quick test_broken_recovery_caught;
+          Alcotest.test_case "phase audit catches lost writes" `Quick
+            test_phase_audit_catches_lost_writes;
+          Alcotest.test_case "staleness bound passes" `Quick test_staleness_bound_passes;
+          Alcotest.test_case "2pc records checked" `Quick test_twopc_records_checked;
+          Alcotest.test_case "kind names roundtrip" `Quick test_kind_names_roundtrip;
+        ] );
+      ("schedules", [ QCheck_alcotest.to_alcotest prop_any_schedule_passes ]);
     ]
