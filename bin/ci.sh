@@ -187,19 +187,19 @@ if dune exec bin/minuet_bench.exe -- traffic --broken-slo --dir "$smoke_dir" \
 fi
 
 echo "== chaos + serializability check =="
-# Deterministic fault-injection storm on the traffic engine (one tenant,
-# open-loop arrivals above what a client completes under faults) with
-# the history checker and a structural audit after every phase; fails
-# the build on any serializability/snapshot violation or audit failure.
+# Deterministic fault-injection storm on the traffic engine (one
+# closed-loop tenant whose ops all run while the storm is on) with the
+# history checker and a structural audit after every phase; fails the
+# build on any serializability/snapshot violation or audit failure.
 dune exec bin/minuet_bench.exe -- chaos --seed 42 --duration 2
 
 echo "== branching chaos (writable clones, version tree) =="
 # Real clone traffic through Mvcc.Branching under the default fault
 # storm: branch-scoped operations are traced and every read pinned at a
-# frozen version is checked against its frozen ancestor state. Seed 23
+# frozen version is checked against its frozen ancestor state. Seed 58
 # pins the prepare-vote/stamp-draw crash window: with the coordinator's
 # participant-epoch check disabled, its checker fails.
-for seed in 8 23 42; do
+for seed in 8 42 58; do
   dune exec bin/minuet_bench.exe -- chaos --seed "$seed" --duration 1 --branching
 done
 
@@ -218,11 +218,11 @@ echo "== scan-heavy chaos (both concurrency-control modes) =="
 dune exec bin/minuet_bench.exe -- chaos --seed 15 --duration 1 --scan-heavy --cc dirty
 dune exec bin/minuet_bench.exe -- chaos --seed 15 --duration 1 --scan-heavy --cc validated
 
-echo "== mid-2PC crash storm (3 seeds) =="
+echo "== mid-2PC crash storm (4 seeds) =="
 # Mid-transaction crashes, mirror-link partitions and replica lag: the
 # redo-log/recovery path must keep every history serializable, every
 # 2PC decision atomic across participants, and the in-doubt set drained.
-for seed in 1 10 42; do
+for seed in 1 7 10 42; do
   dune exec bin/minuet_bench.exe -- chaos --seed "$seed" --duration 1 \
     --faults midcrash,mpartition,replag
 done
@@ -238,12 +238,19 @@ fi
 
 echo "== chaos checker catches broken recovery =="
 # With the redo-log replay disabled, committed-but-unmirrored writes are
-# lost on promotion/recovery; the mid-crash storm must catch it (checker
-# violation, failed per-phase structural audit, or the corruption
-# crashing the run — all reported as failures).
-if dune exec bin/minuet_bench.exe -- chaos --seed 7 --duration 1 \
-    --faults midcrash,replag --broken-recovery >/dev/null 2>&1; then
+# lost on promotion/recovery. On seed 17 the checker passes and the
+# structural audit after a nemesis phase is what fails the run, so the
+# gate requires that failure, not just a nonzero exit; the same seed
+# and flags without the bug must pass.
+dune exec bin/minuet_bench.exe -- chaos --seed 17 --duration 1 --faults midcrash,replag
+if dune exec bin/minuet_bench.exe -- chaos --seed 17 --duration 1 \
+    --faults midcrash,replag --broken-recovery >"$smoke_dir/broken_recovery.txt" 2>&1; then
   echo "ERROR: --broken-recovery chaos run passed; lost writes went unnoticed" >&2
+  exit 1
+fi
+if ! grep -q "AUDIT FAILED: phase" "$smoke_dir/broken_recovery.txt"; then
+  echo "ERROR: --broken-recovery chaos run failed without a phase audit catching it:" >&2
+  cat "$smoke_dir/broken_recovery.txt" >&2
   exit 1
 fi
 

@@ -640,10 +640,8 @@ let scs_violate sh q ~stamp ~returned_at ~slack =
    they apply. An open check closes once an applied commit's invocation
    time passes the horizon: stamp-draw times are monotone in stamp and
    bounded below by invocation times, so every later-stamped commit
-   must have returned after the horizon. Checks stay open while the
-   commits that would close them sit in the reorder buffer, so the cap
-   on open checks is the buffer's [window]. *)
-let scs_register sh ev sid slack ~window =
+   must have returned after the horizon. *)
+let scs_register sh ev sid slack =
   match Hashtbl.find_opt sh.s_creation_log sid with
   | None -> violate sh ~event:ev "granted snapshot sid %Ld has no creation record" sid
   | Some cstamp ->
@@ -662,7 +660,7 @@ let scs_register sh ev sid slack ~window =
            best-effort"
           sh.s_idx sid;
       if sh.s_last_inv < q.q_invoked -. slack then
-        if List.length sh.s_scs_open >= window then
+        if List.length sh.s_scs_open >= 1024 then
           inconclusive sh "index %d: too many open SCS strictness checks; sid %Ld unchecked"
             sh.s_idx sid
         else sh.s_scs_open <- q :: sh.s_scs_open
@@ -1036,7 +1034,7 @@ let shard_unstamped cfg sh ev =
         | None -> violate sh ~event:ev "snapshot request event carries no sid"
         | Some sid -> (
             match Config.scs_slack cfg with
-            | Some slack -> scs_register sh ev sid slack ~window:cfg.Config.reorder_window
+            | Some slack -> scs_register sh ev sid slack
             | None ->
                 if not (Hashtbl.mem sh.s_creation_log sid) then
                   violate sh ~event:ev "granted snapshot sid %Ld has no creation record" sid))

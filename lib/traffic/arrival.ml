@@ -3,6 +3,7 @@ type spike = { at : float; duration : float; factor : float }
 type curve =
   | Constant of float
   | Diurnal of { base : float; peak : float; period : float; phase : float }
+  | Closed_loop
 
 type law = [ `Paced | `Poisson ]
 
@@ -21,6 +22,8 @@ let diurnal ?(law = `Poisson) ?(spikes = []) ~base ~peak ~period ?(phase = 0.0) 
   if peak < base then invalid_arg "Arrival.diurnal: peak must be >= base";
   { curve = Diurnal { base; peak; period; phase }; law; spikes }
 
+let closed_loop = { curve = Closed_loop; law = `Paced; spikes = [] }
+
 let two_pi = 8.0 *. atan 1.0
 
 let curve_rate curve time =
@@ -30,6 +33,7 @@ let curve_rate curve time =
       (* Sinusoid from [base] (trough) to [peak] (crest). *)
       let s = (1.0 +. sin ((two_pi *. time /. period) +. phase)) /. 2.0 in
       base +. ((peak -. base) *. s)
+  | Closed_loop -> invalid_arg "Arrival: a closed loop has no rate curve"
 
 let spike_factor spikes time =
   List.fold_left
@@ -61,6 +65,7 @@ let idle_step = 1e-3
 
 let schedule t ~seed ~tenant_id ~until =
   if until < 0.0 then invalid_arg "Arrival.schedule: negative horizon";
+  if t.curve = Closed_loop then invalid_arg "Arrival.schedule: a closed loop has no schedule";
   let rng = Sim.Rng.create (stream_seed ~seed ~tenant_id) in
   let acc = ref [] in
   let n = ref 0 in

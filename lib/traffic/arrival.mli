@@ -1,4 +1,4 @@
-(** Open-loop arrival processes.
+(** Arrival processes: open-loop schedules, plus a closed loop.
 
     An arrival process is a rate curve (constant or diurnal) with an
     inter-arrival law (evenly paced or Poisson) and optional
@@ -25,6 +25,12 @@ type curve =
       (** Sinusoid between [base] and [peak] with the given period
           (seconds of simulated time; one period = one "day") starting
           at phase offset [phase] in radians. *)
+  | Closed_loop
+      (** No schedule: each of the tenant's workers issues its next
+          operation as soon as the previous one completes, until the
+          arrival window ends. Queueing delay is zero by construction,
+          so this is for runs whose point is coverage (fault storms),
+          not latency. *)
 
 (** Inter-arrival law at the instantaneous rate [r]: [`Paced] emits
     exactly every [1/r] seconds (deterministic, minimal variance);
@@ -41,8 +47,12 @@ val diurnal :
   ?law:law -> ?spikes:spike list -> base:float -> peak:float -> period:float ->
   ?phase:float -> unit -> t
 
+val closed_loop : t
+(** The {!Closed_loop} process. *)
+
 val rate_at : t -> float -> float
-(** Instantaneous offered rate at a simulated time, spikes applied. *)
+(** Instantaneous offered rate at a simulated time, spikes applied.
+    Raises [Invalid_argument] on a closed loop. *)
 
 val stream_seed : seed:int -> tenant_id:int -> int
 (** The derived RNG seed for one tenant's arrival stream (exposed for
@@ -52,4 +62,5 @@ val schedule : t -> seed:int -> tenant_id:int -> until:float -> float array
 (** All arrival times in [\[0, until)], ascending. Time-varying rates
     use the instantaneous rate for each gap (a step-wise approximation
     of the nonhomogeneous process; exact for piecewise-constant
-    curves). The result depends only on [(t, seed, tenant_id, until)]. *)
+    curves). The result depends only on [(t, seed, tenant_id, until)].
+    Raises [Invalid_argument] on a closed loop. *)

@@ -89,6 +89,9 @@ type report = {
   audits : int;
   audit_failures : string list;
   dual_scans : int;  (** Snapshot scans re-checked against the per-leaf path. *)
+  after_storm : int;
+      (** Ops completed after the last nemesis phase: fault-free backlog
+          drain that adds no fault coverage. *)
   events : int;  (** History events fed to the checker. *)
   fault_counts : (string * int) list;
   sim_time : float;
@@ -121,13 +124,15 @@ let pp_report fmt r =
     Format.fprintf fmt "@,faults:";
     List.iter
       (fun (name, v) -> if v > 0 || name = "total" then Format.fprintf fmt " %s=%d" name v)
-      r.fault_counts
+      r.fault_counts;
+    Format.fprintf fmt "@,ops completed after the last phase: %d" r.after_storm
   end;
   Format.fprintf fmt "@,%a@,simulated time: %.3fs@]" Check.Stream.pp_verdict r.verdict
     r.sim_time
 
 (* Per-tenant mutable measurement state shared between its workers. *)
 type meter = {
+  mutable m_offered : int;
   mutable m_completed : int;
   mutable m_errors : int;
   mutable m_blocked : int;
@@ -250,6 +255,7 @@ let run_exn ~audits ~audit_failures (cfg : config) =
   in
   let worker_seq = ref 0 in
   let meters = Array.map (fun _ -> {
+        m_offered = 0;
         m_completed = 0;
         m_errors = 0;
         m_blocked = 0;
@@ -258,12 +264,15 @@ let run_exn ~audits ~audit_failures (cfg : config) =
         m_queueing = Hist.create ();
       }) tenants
   in
+  let closed (t : Tenant.t) = t.Tenant.arrival.Arrival.curve = Arrival.Closed_loop in
   let schedules =
     Array.mapi
       (fun i (t : Tenant.t) ->
-        Arrival.schedule t.Tenant.arrival ~seed:cfg.seed ~tenant_id:i ~until:cfg.duration)
+        if closed t then [||]
+        else Arrival.schedule t.Tenant.arrival ~seed:cfg.seed ~tenant_id:i ~until:cfg.duration)
       tenants
   in
+  let storm_over = ref false and after_storm = ref 0 in
   let bstates = Array.map (fun _ -> { frozen = [] }) tenants in
   (* Batched-vs-per-leaf oracle for linear snapshot scans under faults.
      Snapshots are immutable, so both paths must return the same
@@ -284,6 +293,7 @@ let run_exn ~audits ~audit_failures (cfg : config) =
      zero: the preload above consumed simulated time, and anchoring at
      zero would make every arrival scheduled during it instantly late. *)
   let traffic_start = Sim.now () in
+  let window_end = traffic_start +. cfg.duration in
   Array.iteri
     (fun ti (tenant : Tenant.t) ->
       let offset = offsets.(ti) in
@@ -315,6 +325,7 @@ let run_exn ~audits ~audit_failures (cfg : config) =
         | Tenant.Snapshot_read ->
             let snap = Session.snapshot session in
             ignore (Session.get_at session snap k : string option);
+            ignore (Session.get_at session snap (pick_key ()) : string option);
             let batched = Session.scan_at session snap ~from:k ~count in
             if cfg.chaos = [] then None else Some (snap, k, count, batched)
         | Tenant.Branch_op ->
@@ -396,18 +407,25 @@ let run_exn ~audits ~audit_failures (cfg : config) =
                 | Some tip -> B.put br ~at:tip k (value ()))));
         None
       in
-      (* Dispatcher: offer each op at its scheduled instant. *)
-      Sim.spawn ~name:(Printf.sprintf "traffic-dispatch-%s" tenant.Tenant.name) (fun () ->
-          Array.iter
-            (fun at ->
-              let scheduled = traffic_start +. at in
-              let gap = scheduled -. Sim.now () in
-              if gap > 0.0 then Sim.delay gap;
-              Sim.Mailbox.send queue (Arrive scheduled))
-            schedules.(ti);
-          for _ = 1 to tenant.Tenant.concurrency do
-            Sim.Mailbox.send queue Stop
-          done);
+      (* Dispatcher: offer each op at its scheduled instant. A closed
+         loop has none; its workers issue back to back until the window
+         ends. *)
+      if not (closed tenant) then
+        Sim.spawn ~name:(Printf.sprintf "traffic-dispatch-%s" tenant.Tenant.name) (fun () ->
+            Array.iter
+              (fun at ->
+                let scheduled = traffic_start +. at in
+                let gap = scheduled -. Sim.now () in
+                if gap > 0.0 then Sim.delay gap;
+                Sim.Mailbox.send queue (Arrive scheduled))
+              schedules.(ti);
+            for _ = 1 to tenant.Tenant.concurrency do
+              Sim.Mailbox.send queue Stop
+            done);
+      let next_arrival () =
+        if closed tenant then if Sim.now () < window_end then Arrive (Sim.now ()) else Stop
+        else Sim.Mailbox.recv queue
+      in
       (* Worker pool: the tenant's provisioned capacity. *)
       for _w = 0 to tenant.Tenant.concurrency - 1 do
         let wid = !worker_seq in
@@ -425,13 +443,14 @@ let run_exn ~audits ~audit_failures (cfg : config) =
         in
         Sim.spawn ~name:(Printf.sprintf "traffic-%s-w%d" tenant.Tenant.name wid) (fun () ->
             let rec loop () =
-              match Sim.Mailbox.recv queue with
+              match next_arrival () with
               | Stop ->
                   decr live_workers;
                   if !live_workers = 0 then Sim.Ivar.fill finished ()
               | Arrive scheduled ->
                   let issued = Sim.now () in
                   Hist.add meter.m_queueing (issued -. scheduled);
+                  meter.m_offered <- meter.m_offered + 1;
                   incr op_count;
                   let kind = Tenant.draw_op tenant rng in
                   (match exec kind with
@@ -440,6 +459,7 @@ let run_exn ~audits ~audit_failures (cfg : config) =
                       meter.m_completed <- meter.m_completed + 1;
                       Hist.add meter.m_latency (now -. scheduled);
                       Hist.add meter.m_service (now -. issued);
+                      if !storm_over then incr after_storm;
                       Option.iter (dual_scan_check session) recheck
                   | exception Ops.Too_contended _ -> meter.m_errors <- meter.m_errors + 1
                   | exception Ops.Ambiguous _ -> meter.m_errors <- meter.m_errors + 1
@@ -447,6 +467,10 @@ let run_exn ~audits ~audit_failures (cfg : config) =
                       ( Mvcc.Branching.Too_many_branches _ | Mvcc.Branching.Not_deletable _
                       | Mvcc.Branching.No_mainline _ ) ->
                       meter.m_blocked <- meter.m_blocked + 1);
+                  (* Some branching ops return without simulated time
+                     passing; a closed loop must not spin at one
+                     instant on them. *)
+                  if closed tenant && Sim.now () = issued then Sim.delay 1e-6;
                   loop ()
             in
             loop ())
@@ -455,27 +479,30 @@ let run_exn ~audits ~audit_failures (cfg : config) =
   let admin = Session.attach db in
   (* Structural audits that are safe under concurrent traffic: a linear
      index is walked at a fresh snapshot, a branching one over every
-     registered frozen version (both immutable; GC is off). *)
-  let audit_versions () =
+     registered frozen version (both immutable; GC is off). [stage]
+     prefixes every failure, so a phase audit's catch is told apart from
+     the final audit's. *)
+  let audit_versions stage =
     let br = Session.branching admin in
     Array.iteri
       (fun ti bstate ->
         List.iter
           (fun sid ->
             ignore
-              (audit (Printf.sprintf "tenant %d version %Ld" ti sid) (fun () ->
+              (audit (Printf.sprintf "%s, tenant %d version %Ld" stage ti sid) (fun () ->
                    Ops.audit (Mvcc.Branching.tree br) ~sid
                      ~root:(Mvcc.Branching.root_of br ~sid))
                 : (string * string) list option))
           bstate.frozen)
       bstates
   in
-  let audit_phase () =
-    if cfg.branching then audit_versions ()
+  let audit_phase phase =
+    let stage = Printf.sprintf "phase %d" phase in
+    if cfg.branching then audit_versions stage
     else
       for idx = 0 to Db.n_trees db - 1 do
         ignore
-          (audit (Printf.sprintf "index %d" idx) (fun () ->
+          (audit (Printf.sprintf "%s, index %d" stage idx) (fun () ->
                let index = Session.index db idx in
                let snap = Session.snapshot ~index admin in
                Ops.audit (Session.tree_of admin index) ~sid:snap.Session.sid
@@ -492,14 +519,15 @@ let run_exn ~audits ~audit_failures (cfg : config) =
   if cfg.chaos <> [] then begin
     let nrng = Sim.Rng.create (cfg.seed lxor 0xc4a05) in
     let phase_dur = cfg.duration /. float_of_int cfg.chaos_phases in
-    for _phase = 1 to cfg.chaos_phases do
+    for phase = 1 to cfg.chaos_phases do
       Chaos.Nemesis.start nemesis ~rng:nrng cfg.chaos;
       Sim.delay phase_dur;
       Chaos.Nemesis.stop_and_drain nemesis;
       Chaos.Nemesis.recover_all nemesis;
       Sim.delay (lease +. 0.12);
-      audit_phase ()
-    done
+      audit_phase phase
+    done;
+    storm_over := true
   end;
   Sim.Ivar.read finished;
   if cfg.chaos <> [] then begin
@@ -518,14 +546,14 @@ let run_exn ~audits ~audit_failures (cfg : config) =
      has no meaningful tip, so its frozen versions stand in for it. *)
   let final =
     if cfg.branching then begin
-      audit_versions ();
+      audit_versions "final";
       []
     end
     else
       List.filter_map
         (fun idx ->
           let tree = Session.tree_of admin (Session.index db idx) in
-          audit (Printf.sprintf "index %d" idx) (fun () ->
+          audit (Printf.sprintf "final, index %d" idx) (fun () ->
               let sid, root = Ops.run_txn tree (fun txn -> Ops.Linear.read_tip tree txn) in
               Ops.audit tree ~sid ~root)
           |> Option.map (fun entries -> (idx, entries)))
@@ -548,7 +576,7 @@ let run_exn ~audits ~audit_failures (cfg : config) =
       (Seq.mapi
          (fun ti (tenant : Tenant.t) ->
            let meter = meters.(ti) in
-           let offered = Array.length schedules.(ti) in
+           let offered = meter.m_offered in
            let slo =
              Slo.evaluate tenant.Tenant.slo ~latency:meter.m_latency ~offered
                ~errors:meter.m_errors
@@ -574,6 +602,7 @@ let run_exn ~audits ~audit_failures (cfg : config) =
     audits = !audits;
     audit_failures = !audit_failures;
     dual_scans = !dual_scans;
+    after_storm = !after_storm;
     events;
     fault_counts = Chaos.Nemesis.fault_counts (Db.obs db);
     sim_time = Sim.now ();
@@ -582,9 +611,11 @@ let run_exn ~audits ~audit_failures (cfg : config) =
 (* With a bug injected, the corruption can crash the run itself (a lost
    committed write can wedge a traversal or starve snapshot creation)
    before the checker sees the history. That is still the bug being
-   caught, so it is reported as a failed run. Honest runs propagate
-   exceptions unchanged: a crash there is a harness bug. The config is
-   validated first, so a bad config is never mistaken for a caught bug. *)
+   caught, so a [Failure] is reported as a failed run. Any other
+   exception propagates, and honest runs propagate everything: a
+   harness bug such as an out-of-bounds index is never counted as a
+   catch. The config is validated first, so a bad config is never
+   mistaken for a caught bug either. *)
 let run cfg =
   validate cfg;
   (* Kept outside the simulation so that a crash report still carries
@@ -595,7 +626,7 @@ let run cfg =
   | Some _ -> (
       match run_exn ~audits ~audit_failures cfg with
       | report -> report
-      | exception ((Failure _ | Invalid_argument _) as e) ->
+      | exception (Failure _ as e) ->
           let crashed =
             {
               Check.Checker.v_index = -1;
@@ -621,6 +652,7 @@ let run cfg =
             audits = !audits;
             audit_failures = !audit_failures;
             dual_scans = 0;
+            after_storm = 0;
             events = 0;
             fault_counts = [];
             sim_time = 0.0;

@@ -203,26 +203,24 @@ let broken_slo ~seed ~duration =
    removes over a hot key set, tip scans and snapshot reads; in
    branching mode also clone traffic. *)
 let chaos_mix =
-  { Tenant.read = 0.30; update = 0.30; scan = 0.10; snapshot = 0.20; branch = 0.0; remove = 0.10 }
+  { Tenant.read = 0.35; update = 0.30; scan = 0.10; snapshot = 0.15; branch = 0.0; remove = 0.10 }
 
 let chaos_branch_mix =
   { Tenant.read = 0.18; update = 0.22; scan = 0.07; snapshot = 0.08; branch = 0.32; remove = 0.07 }
 
-(* Offered load per client, above what a client completes under the full
-   fault mix: no worker idles while faults are active, and the backlog
-   drains after the arrival window. *)
-let chaos_rate_per_client = 750.0
-
-(** The fault-injection storm behind [minuet_bench chaos]: one tenant
-    of [clients] workers over [keys] keys, a quarter of its ops on 8 hot
-    keys, under the fault mix [kinds] ([chaos_phases] defaults to 2).
-    [scan_heavy] switches to {!Tenant.scan_heavy} with 32-key scans;
+(** The fault-injection storm behind [minuet_bench chaos]: one
+    closed-loop tenant of [clients] workers over [keys] keys, a quarter
+    of its ops on 8 hot keys, under the fault mix [kinds]
+    ([chaos_phases] defaults to 2). The phases outlast the arrival
+    window, so every op runs while the storm is on, not in a fault-free
+    backlog drain after it. [scan_heavy] switches to
+    {!Tenant.scan_heavy} plus 7 % removes, with 32-key scans;
     [branching] runs the database in branching mode with clone traffic.
     The SLO is vacuous, so [passed] means checker plus audits. *)
 let chaos ?(scan_heavy = false) ?(branching = false) ~clients ~keys ~seed ~duration kinds =
   let mix, scan_count =
     if branching then (chaos_branch_mix, 8)
-    else if scan_heavy then (Tenant.scan_heavy, 32)
+    else if scan_heavy then ({ Tenant.scan_heavy with Tenant.remove = 0.07 }, 32)
     else (chaos_mix, 8)
   in
   (* Keygen rounds the hot set up to whole keys: ceil (7.5) = 8. *)
@@ -239,7 +237,7 @@ let chaos ?(scan_heavy = false) ?(branching = false) ~clients ~keys ~seed ~durat
         Tenant.make "clients" ~keys
           ~distribution:(Tenant.Hotspot { op_frac = 0.25; key_frac })
           ~mix ~scan_count ~concurrency:clients
-          ~arrival:(Arrival.constant (chaos_rate_per_client *. float_of_int clients))
+          ~arrival:Arrival.closed_loop
           ~slo:(Slo.make ~p99_ms:infinity ~p999_ms:infinity ~max_error_rate:1.0 ());
       ];
   }

@@ -16,8 +16,8 @@ type distribution =
   | Hotspot of { op_frac : float; key_frac : float }
 
 (** Operation mix weights (normalized internally; need not sum to 1).
-    [snapshot] ops take an SCS snapshot and run a read + a range scan
-    against it (the paper's analytics path); [branch] ops exercise
+    [snapshot] ops take an SCS snapshot and run two point reads and a
+    range scan against it (the paper's analytics path); [branch] ops exercise
     branching-mode version traffic and are ignored unless the scenario
     runs a branching database. [remove] is drawn last, so the other
     kinds' draws do not depend on whether a mix removes. *)

@@ -1,4 +1,4 @@
-(** Open-loop production-traffic engine with per-tenant SLO gates.
+(** Production-traffic engine with per-tenant SLO gates.
 
     The YCSB driver ({!Ycsb.Driver}) answers "how fast can N closed
     loops go"; this library answers the operational question "does the
@@ -6,7 +6,8 @@
     {!Arrival} turns rate curves — constant, diurnal, flash-crowd
     spikes — into deterministic per-tenant arrival schedules (split RNG
     streams: same seed, same schedule, byte-identical, regardless of
-    tenant count or spawn order). {!Tenant} describes a tenant: a
+    tenant count or spawn order); its closed loop, used only by the
+    fault storm, has no schedule. {!Tenant} describes a tenant: a
     contiguous keyspace slice, a key distribution, an op mix, an
     arrival curve, a provisioned concurrency and an {!Slo}. {!Engine}
     drives all tenants through the simulated cluster open-loop — every
@@ -18,8 +19,8 @@
     in phases, with a structural audit after each phase and a
     batched-vs-per-leaf oracle on snapshot scans. It is the repo's one
     load driver: {!Scenario} holds the canned catalogue the bench CLI
-    and CI run, and {!Scenario.chaos} the one-tenant fault storm behind
-    [minuet_bench chaos]. *)
+    and CI run, and {!Scenario.chaos} the one-tenant, closed-loop fault storm
+    behind [minuet_bench chaos]. *)
 
 module Arrival = Arrival
 module Slo = Slo
