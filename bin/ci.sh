@@ -129,6 +129,15 @@ if [ $((refetches * 100)) -ge "$hinted" ]; then
 fi
 echo "hinted reads: $hinted, short-read refetches: $refetches"
 
+echo "== simulator host cost =="
+# fig10 at the shape test's parameters, both traversal modes. The event
+# count and the hash of the delivered (time, seq) event stream pin
+# simulated behaviour: they must equal the committed BENCH_sim.json, so
+# a host-only change cannot move the model unnoticed. The top heap may
+# not exceed 1.5x the committed value. Emits BENCH_sim.json (events/s,
+# minor and major words per event, top heap, host wall time).
+dune exec bin/minuet_bench.exe -- sim --dir "$smoke_dir" --baseline BENCH_sim.json
+
 echo "== node-path micro-benchmark =="
 # Zero-copy node views vs eager decodes on identical slotted payloads:
 # the view must be at least 3x faster per lookup, a corrupted slot

@@ -658,6 +658,126 @@ let scan_cmd =
       const action $ seed_arg $ duration_arg $ dir_arg $ min_speedup_arg $ min_ops_arg
       $ min_leaves_arg)
 
+(* Simulator host-cost gate: fig10 at one fixed small parameter set
+   (both traversal modes), timed on the host. The event count and the
+   delivered-event stream hash pin simulated behaviour; words per
+   event, top heap and wall time are what a host-only optimisation may
+   move. Writes BENCH_sim.json; with --baseline, exits 1 when the
+   events or the hash differ from the baseline's, or the top heap
+   exceeds 1.5 times the baseline's (GC timing moves it by ~10 %). *)
+let sim_cmd =
+  let doc =
+    "Run fig10 at a fixed small parameter set in both traversal modes, record simulator \
+     events, events/s, minor and major words per event, top heap, host wall time and a hash \
+     of the delivered (time, seq) event stream, and write BENCH_sim.json. With --baseline, \
+     exits 1 when the event count or hash differs from the baseline or the top heap exceeds \
+     1.5 times the baseline's."
+  in
+  let dir_arg =
+    Arg.(value & opt string "." & info [ "dir" ] ~docv:"DIR" ~doc:"Output directory.")
+  in
+  let baseline_arg =
+    Arg.(value & opt (some file) None
+        & info [ "baseline" ] ~docv:"FILE" ~doc:"Committed BENCH_sim.json to gate against.")
+  in
+  let heap_slack = 1.5 in
+  let action dir baseline =
+    (* Read before the run: the report may overwrite the baseline. *)
+    let baseline =
+      Option.map
+        (fun file ->
+          let ic = open_in_bin file in
+          let base = Obs.Json.parse (really_input_string ic (in_channel_length ic)) in
+          close_in ic;
+          (file, base))
+        baseline
+    in
+    (* The shape tests' fig10 parameters: the same 4- and 12-host
+       points, so these numbers describe what the test pays. *)
+    let params =
+      {
+        P.hosts = [ 4; 12 ];
+        records = 12_000;
+        duration = 0.6;
+        warmup = 0.2;
+        clients_per_host = 4;
+        scan_count = 300;
+        seed = 0x7E57;
+      }
+    in
+    let before = Sim.totals () in
+    let gc0 = Gc.quick_stat () in
+    let t0 = Unix.gettimeofday () (* lint: allow wallclock-rng *) in
+    let rows = Experiments.Fig10.compute params in
+    let wall_s = Unix.gettimeofday () -. t0 (* lint: allow wallclock-rng *) in
+    let gc1 = Gc.quick_stat () in
+    let after = Sim.totals () in
+    let events = after.Sim.events - before.Sim.events in
+    let hash = Printf.sprintf "%016x" after.Sim.stream_hash in
+    let per_event w = if events = 0 then 0.0 else w /. float_of_int events in
+    let minor = per_event (gc1.Gc.minor_words -. gc0.Gc.minor_words) in
+    let major = per_event (gc1.Gc.major_words -. gc0.Gc.major_words) in
+    let top_heap_mb =
+      float_of_int (gc1.Gc.top_heap_words * (Sys.word_size / 8)) /. 1048576.0
+    in
+    let events_per_s = if wall_s > 0.0 then float_of_int events /. wall_s else 0.0 in
+    let json =
+      Obs.Json.Obj
+        [
+          ("name", Obs.Json.String "sim");
+          ("schema_version", Obs.Json.Int 1);
+          ("seed", Obs.Json.Int params.P.seed);
+          ("figure", Obs.Json.String "fig10");
+          ( "hosts",
+            Obs.Json.List (List.map (fun h -> Obs.Json.Int h) params.P.hosts) );
+          ("records", Obs.Json.Int params.P.records);
+          ("events", Obs.Json.Int events);
+          ("stream_hash", Obs.Json.String hash);
+          ("events_per_s", Obs.Json.Float events_per_s);
+          ("minor_words_per_event", Obs.Json.Float minor);
+          ("major_words_per_event", Obs.Json.Float major);
+          ("top_heap_mb", Obs.Json.Float top_heap_mb);
+          ("host_wall_ms", Obs.Json.Int (int_of_float (wall_s *. 1e3)));
+        ]
+    in
+    let path = Filename.concat dir "BENCH_sim.json" in
+    let oc = open_out path in
+    output_string oc (Obs.Json.to_string json);
+    output_char oc '\n';
+    close_out oc;
+    List.iter (P.print_row ~figure:"fig10") rows;
+    Printf.printf "sim gate: %d events (hash %s) in %.1f s = %.0f events/s\n" events hash wall_s
+      events_per_s;
+    Printf.printf "  %.1f minor + %.1f major words/event, top heap %.0f MB\n" minor major
+      top_heap_mb;
+    Printf.printf "  report written to %s\n%!" path;
+    match baseline with
+    | None -> ()
+    | Some (file, base) ->
+        let fail fmt =
+          Printf.ksprintf (fun m -> prerr_endline ("ERROR: sim gate: " ^ m); exit 1) fmt
+        in
+        let field name =
+          match Obs.Json.member name base with
+          | Some v -> v
+          | None -> fail "%s has no %S field" file name
+        in
+        (match field "events" with
+        | Obs.Json.Int n when n = events -> ()
+        | v -> fail "%d events, baseline %s" events (Obs.Json.to_string v));
+        (match Obs.Json.string_value (field "stream_hash") with
+        | Some h when String.equal h hash -> ()
+        | _ -> fail "event-stream hash %s differs from the baseline's" hash);
+        (match Obs.Json.number (field "top_heap_mb") with
+        | Some base_mb when top_heap_mb <= heap_slack *. base_mb -> ()
+        | Some base_mb ->
+            fail "top heap %.0f MB exceeds %.1f x the baseline's %.0f MB" top_heap_mb heap_slack
+              base_mb
+        | None -> fail "%s: top_heap_mb is not a number" file);
+        Printf.printf "  matches %s (events, hash; top heap within %.1fx)\n%!" file heap_slack
+  in
+  Cmd.v (Cmd.info "sim" ~doc) Term.(const action $ dir_arg $ baseline_arg)
+
 (* Open-loop production-traffic scenarios with per-tenant SLO gates.
    Every scenario runs through the streaming checker; the report is
    throughput + open-loop latency quantiles + queueing delay + SLO and
@@ -791,7 +911,7 @@ let () =
   let info = Cmd.info "minuet-bench" ~version:"1.0" ~doc in
   let cmds =
     all_cmd :: smoke_cmd :: check_report_cmd :: chaos_cmd :: checker_cmd :: node_cmd :: scan_cmd
-    :: traffic_cmd
+    :: traffic_cmd :: sim_cmd
     :: List.map figure_cmd Experiments.all
   in
   exit (Cmd.eval (Cmd.group info cmds))

@@ -6,4 +6,5 @@ module Bnode = Bnode
 module Bview = Bview
 module Layout = Layout
 module Node_alloc = Node_alloc
+module View_memo = View_memo
 module Ops = Ops

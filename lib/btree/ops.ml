@@ -37,11 +37,9 @@ type tree = {
      operation returns — safe because the simulator is cooperative and
      operations on one handle do not interleave without a yield. *)
   mutable last_stamp : int64 option;
-  (* Node-view memo keyed by (location, sequence number): node versions
-     are immutable, so a (ptr, seq) pair identifies the parsed view
-     forever. Purely a wall-clock optimization of the simulator — no
-     simulated cost depends on it. *)
-  view_memo : (Objref.t * int64, View.t) Hashtbl.t;
+  (* Parsed node views keyed by (location, sequence number), shared by
+     every handle of the deployment. *)
+  memo : View_memo.t;
   (* Reusable encoder for the node-write path: reset per write, the
      framed payload is extracted in a single allocation. *)
   enc : Codec.Enc.t;
@@ -51,8 +49,6 @@ exception Too_contended of string
 
 exception Ambiguous of string
 
-let decode_memo_capacity = 16384
-
 (* Conservative per-entry wire estimates for deriving key capacities
    from the node size (YCSB schema: 14-byte keys, 8-byte values). *)
 let leaf_entry_bytes = 40
@@ -61,7 +57,7 @@ let internal_entry_bytes = 40
 
 let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(max_op_retries = 64)
     ?(scan_batch = 16) ?(home = 0) ?client ?(unsafe_dirty_leaf_reads = false) ~cluster ~layout
-    ~tree_id ~alloc ~cache () =
+    ~tree_id ~alloc ~cache ~memo () =
   let budget = layout.Layout.node_size - 128 in
   let derived_leaf = max 4 (budget / leaf_entry_bytes) in
   let derived_internal = max 4 (budget / internal_entry_bytes) in
@@ -85,7 +81,7 @@ let make_tree ?(mode = Dirty_traversal) ?max_keys_leaf ?max_keys_internal ?(max_
     alloc;
     cache;
     last_stamp = None;
-    view_memo = Hashtbl.create 1024;
+    memo;
     enc = Codec.Enc.create ~initial_size:1024 ();
   }
 
@@ -147,20 +143,16 @@ let view_node_memo tree txn ptr seq payload =
      write: the payload is uncommitted and [seq] still names the old
      version. *)
   if Txn.in_write_set txn ptr then view_of_payload txn payload
-  else begin
-    let key = (ptr, seq) in
-    match Hashtbl.find_opt tree.view_memo key with
+  else
+    match View_memo.find tree.memo ptr seq with
     | Some v ->
         count_view tree v;
         v
     | None ->
         let v = view_of_payload txn payload in
         count_view tree v;
-        if Hashtbl.length tree.view_memo >= decode_memo_capacity then
-          Hashtbl.reset tree.view_memo;
-        Hashtbl.add tree.view_memo key v;
+        View_memo.add tree.memo ptr seq v;
         v
-  end
 
 (* The write path materialises a view into a [Bnode.t] it can mutate;
    this is the copy boundary, and the only place the slotted payload's

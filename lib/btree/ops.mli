@@ -48,6 +48,7 @@ val make_tree :
   tree_id:int ->
   alloc:Node_alloc.t ->
   cache:Dyntxn.Objcache.t ->
+  memo:View_memo.t ->
   unit ->
   tree
 (** Key capacities default to values derived from [layout.node_size]
@@ -61,6 +62,9 @@ val make_tree :
     [client] is this proxy's host id for the network fault model: all
     transactions the tree runs carry it, so injected per-link faults
     (partitions, drops, delays) apply to this proxy's traffic.
+
+    [memo] holds the parsed node views; pass every handle of one
+    deployment the same one (see {!View_memo}).
 
     [unsafe_dirty_leaf_reads] deliberately breaks the tree for checker
     validation: up-to-date leaf reads skip the read set, so gets can

@@ -1,7 +1,7 @@
 (** A running Minuet deployment: a Sinfonia cluster with initialized
     B-tree indexes, a snapshot creation service per index, and shared
-    allocator state. Create sessions with {!Session.attach} to operate
-    on it. *)
+    allocator and node-view memo state. Create sessions with
+    {!Session.attach} to operate on it. *)
 
 type t
 
@@ -14,6 +14,10 @@ val config : t -> Config.t
 val cluster : t -> Sinfonia.Cluster.t
 
 val shared_alloc : t -> Btree.Node_alloc.Shared.t
+
+val view_memo : t -> Btree.View_memo.t
+(** The parsed-node-view memo every tree handle of this deployment
+    shares (sessions, snapshot services and GC alike). *)
 
 val scs : t -> index:int -> Mvcc.Scs.t
 (** The snapshot creation service for one index (linear mode only). *)
@@ -51,6 +55,7 @@ val make_tree_handle :
   config:Config.t ->
   cluster:Sinfonia.Cluster.t ->
   shared_alloc:Btree.Node_alloc.Shared.t ->
+  view_memo:Btree.View_memo.t ->
   cache:Dyntxn.Objcache.t ->
   home:int ->
   tree_id:int ->

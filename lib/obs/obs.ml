@@ -217,6 +217,27 @@ module Span = struct
     | Fault kind -> "chaos.fault." ^ kind
     | Recovery_sweep -> "recovery.sweep"
 
+  (* Dense index of every kind but [Fault], whose free-form name gets
+     a table instead: the two paths of each op, then the fixed kinds. *)
+  let n_op_kinds = 2 * List.length Op.all
+
+  let n_indexed = n_op_kinds + 11
+
+  let index = function
+    | Op (op, path) -> (2 * Op.index op) + Op.path_index path
+    | Txn -> n_op_kinds
+    | Attempt -> n_op_kinds + 1
+    | Commit -> n_op_kinds + 2
+    | Traversal -> n_op_kinds + 3
+    | Scan_batch -> n_op_kinds + 4
+    | Mtx_exec -> n_op_kinds + 5
+    | Mtx_prepare -> n_op_kinds + 6
+    | Mtx_commit -> n_op_kinds + 7
+    | Snapshot_create -> n_op_kinds + 8
+    | Scs_request -> n_op_kinds + 9
+    | Recovery_sweep -> n_op_kinds + 10
+    | Fault _ -> invalid_arg "Obs.Span.index: faults are not indexed"
+
   type outcome = Completed | Aborted of Abort.reason | Failed of string
 
   type t = { sp_id : int; sp_parent : int; sp_kind : kind; sp_start : float }
@@ -245,7 +266,10 @@ type t = {
   recovery_stats : recovery_stats;
   aborts : Counter.t array array; (* [layer][reason] *)
   op_hists : Hist.t array array; (* [op][path] *)
-  span_hists : (Span.kind, Hist.t) Hashtbl.t;
+  (* Created on a kind's first span, so the registry lists only kinds
+     that ran; indexed by [Span.index], faults by name. *)
+  span_hists : Hist.t option array;
+  fault_hists : (string, Hist.t) Hashtbl.t;
   ring : Span.info option array;
   mutable ring_next : int;
   mutable ring_count : int;
@@ -402,7 +426,8 @@ let create ?(span_capacity = 65536) () =
     recovery_stats;
     aborts;
     op_hists;
-    span_hists = Hashtbl.create 16;
+    span_hists = Array.make Span.n_indexed None;
+    fault_hists = Hashtbl.create 8;
     ring = Array.make span_capacity None;
     ring_next = 0;
     ring_count = 0;
@@ -463,13 +488,25 @@ let observe_op t ~op ~path v = Hist.add (op_hist t ~op ~path) v
 (* Spans                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let new_span_hist t kind = Metrics.hist t.metrics ("span." ^ Span.kind_to_string kind)
+
 let span_hist t kind =
-  match Hashtbl.find_opt t.span_hists kind with
-  | Some h -> h
-  | None ->
-      let h = Metrics.hist t.metrics ("span." ^ Span.kind_to_string kind) in
-      Hashtbl.add t.span_hists kind h;
-      h
+  match kind with
+  | Span.Fault name -> (
+      match Hashtbl.find_opt t.fault_hists name with
+      | Some h -> h
+      | None ->
+          let h = new_span_hist t kind in
+          Hashtbl.add t.fault_hists name h;
+          h)
+  | _ -> (
+      let i = Span.index kind in
+      match t.span_hists.(i) with
+      | Some h -> h
+      | None ->
+          let h = new_span_hist t kind in
+          t.span_hists.(i) <- Some h;
+          h)
 
 let span_begin t kind =
   let id = t.next_span_id in

@@ -57,7 +57,7 @@ let push t ~time payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let pop t =
+let pop_entry t =
   if t.size = 0 then None
   else begin
     let top = t.heap.(0) in
@@ -68,8 +68,10 @@ let pop t =
        slot without needing an option type. *)
     t.heap.(t.size) <- top;
     if t.size > 0 then sift_down t 0;
-    Some (top.time, top.payload)
+    Some top
   end
+
+let pop t = match pop_entry t with Some e -> Some (e.time, e.payload) | None -> None
 
 let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
 

@@ -7,7 +7,30 @@ type scheduler = {
   mutable clock : time;
   mutable stopped : bool;
   root_rng : Rng.t;
+  mutable delivered : int;
+  mutable stream_hash : int;
 }
+
+type totals = { events : int; stream_hash : int }
+
+(* FNV-1a's 64-bit offset basis and prime, folded in native-int
+   arithmetic (products wrap modulo 2^63). *)
+let fnv_basis = Int64.to_int 0xcbf29ce484222325L
+
+let fnv_prime = 0x100000001b3
+
+let fnv_word h x =
+  let h = ref h in
+  for i = 0 to 7 do
+    h := (!h lxor ((x lsr (8 * i)) land 0xff)) * fnv_prime
+  done;
+  !h
+
+(* Sum over every finished run in this process, so a figure that runs
+   one simulation per data point reports one stream. *)
+let finished = ref { events = 0; stream_hash = fnv_basis }
+
+let totals () = !finished
 
 (* The scheduler for the currently-running simulation. Simulations are
    single-threaded and do not nest, so one global slot suffices; it also
@@ -23,13 +46,15 @@ let get () =
   | None -> invalid_arg "Sim: called outside of Scheduler.run"
 
 type _ Effect.t +=
-  | Now : time Effect.t
   | Delay : time -> unit Effect.t
   | Spawn : string option * (unit -> unit) -> unit Effect.t
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
 
+(* Read the running scheduler's clock directly: the clock only moves
+   between events, so every process sees the time of the event it runs
+   in without a round trip through the effect handler. *)
 let now () =
-  if inside () then Effect.perform Now else invalid_arg "Sim.now: outside of Scheduler.run"
+  match !current with Some s -> s.clock | None -> invalid_arg "Sim.now: outside of Scheduler.run"
 
 let delay d = Effect.perform (Delay (if d < 0.0 then 0.0 else d))
 
@@ -81,8 +106,6 @@ let rec exec : scheduler -> string option -> (unit -> unit) -> unit =
       effc =
         (fun (type a) (eff : a Effect.t) ->
           match eff with
-          | Now ->
-              Some (fun (k : (a, unit) continuation) -> continue k s.clock)
           | Delay d ->
               Some
                 (fun (k : (a, unit) continuation) ->
@@ -121,12 +144,20 @@ let rec exec : scheduler -> string option -> (unit -> unit) -> unit =
 let run ?(seed = 0x4d696e) ?until main =
   if inside () then invalid_arg "Scheduler.run: simulations do not nest";
   let s =
-    { queue = Event_queue.create (); clock = 0.0; stopped = false; root_rng = Rng.create seed }
+    {
+      queue = Event_queue.create ();
+      clock = 0.0;
+      stopped = false;
+      root_rng = Rng.create seed;
+      delivered = 0;
+      stream_hash = !finished.stream_hash;
+    }
   in
   current := Some s;
   ctx := 0;
   let finish () =
     Event_queue.clear s.queue;
+    finished := { events = !finished.events + s.delivered; stream_hash = s.stream_hash };
     current := None;
     ctx := 0
   in
@@ -134,13 +165,16 @@ let run ?(seed = 0x4d696e) ?until main =
      exec s (Some "main") main;
      let running = ref true in
      while !running && not s.stopped do
-       match Event_queue.pop s.queue with
+       match Event_queue.pop_entry s.queue with
        | None -> running := false
-       | Some (time, thunk) -> (
+       | Some { Event_queue.time; seq; payload = thunk } -> (
            match until with
            | Some u when time > u -> running := false
            | _ ->
                s.clock <- time;
+               s.delivered <- s.delivered + 1;
+               s.stream_hash <-
+                 fnv_word (fnv_word s.stream_hash (Int64.to_int (Int64.bits_of_float time))) seq;
                thunk ())
      done
    with e ->

@@ -25,12 +25,25 @@ val run : ?seed:int -> ?until:time -> (unit -> unit) -> unit
 val inside : unit -> bool
 (** [inside ()] is [true] when called from code running under {!run}. *)
 
+type totals = {
+  events : int;  (** Events delivered. *)
+  stream_hash : int;
+      (** FNV-1a over each delivered event's time bits and insertion
+          number, in delivery order (native-int arithmetic). *)
+}
+
+val totals : unit -> totals
+(** Events delivered by every {!run} that has returned in this process,
+    and one hash chained through their event streams in run order. Two
+    processes that run the same simulations get the same totals, so the
+    pair pins simulated behaviour across host-only changes. *)
+
 (** {1 Process operations}
 
     All of these must be called from inside a simulation. *)
 
 val now : unit -> time
-(** Current simulated time. *)
+(** Current simulated time. Raises [Invalid_argument] outside {!run}. *)
 
 val delay : time -> unit
 (** Suspend the calling process for the given amount of simulated time.

@@ -21,6 +21,7 @@ type env = {
   layout : Layout.t;
   shared : Node_alloc.Shared.t;
   cache : Objcache.t;
+  memo : View_memo.t;
 }
 
 let make_env ?(n = 3) () =
@@ -30,14 +31,14 @@ let make_env ?(n = 3) () =
   in
   let cluster = Cluster.create ~config ~n () in
   let shared = Node_alloc.Shared.create ~n_memnodes:n in
-  { cluster; layout; shared; cache = Objcache.create () }
+  { cluster; layout; shared; cache = Objcache.create (); memo = View_memo.create () }
 
 let make_tree ?(mode = Ops.Dirty_traversal) ?(max_keys = 4) ?(tree_id = 0) ?cache env =
   let alloc = Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared () in
   Ops.make_tree ~mode ~max_keys_leaf:max_keys ~max_keys_internal:max_keys ~cluster:env.cluster
     ~layout:env.layout ~tree_id ~alloc
     ~cache:(Option.value cache ~default:env.cache)
-    ()
+    ~memo:env.memo ()
 
 let with_tree ?n ?mode ?max_keys f =
   Sim.run (fun () ->
@@ -785,11 +786,11 @@ let test_batched_scan_aborts_when_leaf_moves mode () =
       in
       let cluster = Cluster.create ~config ~n:2 () in
       let shared = Node_alloc.Shared.create ~n_memnodes:2 in
-      let env = { cluster; layout; shared; cache = Objcache.create () } in
+      let env = { cluster; layout; shared; cache = Objcache.create (); memo = View_memo.create () } in
       let mk cache =
         let alloc = Node_alloc.create ~cluster ~layout ~shared () in
         Ops.make_tree ~mode ~max_keys_leaf:4 ~max_keys_internal:32 ~cluster ~layout ~tree_id:0
-          ~alloc ~cache ()
+          ~alloc ~cache ~memo:env.memo ()
       in
       let t1 = mk (Objcache.create ()) in
       Ops.Linear.init_tree t1;
@@ -845,9 +846,84 @@ let test_batched_scan_aborts_when_leaf_moves mode () =
       check Alcotest.bool "scan correct after leaf moves" true
         (scan_b t2 ~batch:16 ~from:"" ~count:2000 = expected))
 
+(* ------------------------------------------------------------------ *)
+(* Node-view memo                                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* A committed write bumps the leaf's sequence number, so a handle
+   that memoised the old version must parse the new one. The reader's
+   own cache is separate from the writer's; only the memo is shared. *)
+let test_memo_new_version_reparsed () =
+  with_tree (fun env writer ->
+      let reader = make_tree env ~cache:(Objcache.create ()) in
+      for i = 0 to 9 do
+        put writer (key i) "old"
+      done;
+      for i = 0 to 9 do
+        check (Alcotest.option Alcotest.string) "first read" (Some "old") (get reader (key i))
+      done;
+      check Alcotest.bool "reads memoised" true (View_memo.length env.memo > 0);
+      for i = 0 to 9 do
+        put writer (key i) "new"
+      done;
+      for i = 0 to 9 do
+        check (Alcotest.option Alcotest.string) "reread after commit" (Some "new")
+          (get reader (key i))
+      done)
+
+exception Rolled_back of string option
+
+(* A read served from the transaction's own buffered write carries the
+   old version's sequence number; memoising it would leak the
+   uncommitted bytes to every later reader of that version. *)
+let test_memo_skips_own_write_set () =
+  with_tree (fun _env tree ->
+      put tree (key 1) "committed";
+      check (Alcotest.option Alcotest.string) "memoised" (Some "committed") (get tree (key 1));
+      let inside =
+        match
+          Ops.run_txn tree (fun txn ->
+              let vctx = tip tree txn in
+              Ops.put_in_txn tree txn vctx (key 1) "buffered";
+              raise (Rolled_back (Ops.get_in_txn tree txn vctx (key 1))))
+        with
+        | () -> Alcotest.fail "transaction was not rolled back"
+        | exception Rolled_back v -> v
+      in
+      check (Alcotest.option Alcotest.string) "reads its own write" (Some "buffered") inside;
+      check (Alcotest.option Alcotest.string) "buffered bytes never memoised" (Some "committed")
+        (get tree (key 1)))
+
+(* More distinct nodes than the memo has entries: it stays at its
+   fixed size, and every lookup matches reference and version. *)
+let test_memo_bounded () =
+  let memo = View_memo.create () in
+  let view = Bnode.View.of_payload (Bnode.encode (Bnode.empty_root ~snap:0L)) in
+  let ref_of i =
+    Objref.make ~addr:(Sinfonia.Address.make ~node:(i mod 3) ~off:(512 * (i / 3))) ~len:512
+  in
+  let n = 3 * View_memo.entries in
+  for i = 0 to n - 1 do
+    View_memo.add memo (ref_of i) 1L view
+  done;
+  let held = View_memo.length memo in
+  check Alcotest.bool "at most the entry count" true (held <= View_memo.entries);
+  check Alcotest.bool "addresses spread over the slots" true (held > View_memo.entries / 2);
+  let last = ref_of (n - 1) in
+  check Alcotest.bool "latest insert found" true (Option.is_some (View_memo.find memo last 1L));
+  check Alcotest.bool "other version misses" true (Option.is_none (View_memo.find memo last 2L));
+  check Alcotest.bool "other node misses" true
+    (Option.is_none (View_memo.find memo (ref_of n) 1L))
+
 let () =
   Alcotest.run "btree"
     [
+      ( "view-memo",
+        [
+          Alcotest.test_case "new version reparsed" `Quick test_memo_new_version_reparsed;
+          Alcotest.test_case "own write set not memoised" `Quick test_memo_skips_own_write_set;
+          Alcotest.test_case "bounded" `Quick test_memo_bounded;
+        ] );
       ( "layout",
         [
           Alcotest.test_case "regions disjoint" `Quick test_layout_regions_disjoint;

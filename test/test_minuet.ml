@@ -303,6 +303,27 @@ let test_different_seeds_diverge () =
   (* Timing (jitter) differs across seeds even though results agree. *)
   check Alcotest.bool "timing differs" true (run_with 1 <> run_with 2)
 
+(* Two identical deployments back to back in one process, differing
+   only in the bytes they write: the same keys land in the same slots
+   at the same sequence numbers, so a node-view memo that outlived its
+   run would serve the second run the first run's values. *)
+let test_view_memo_per_db () =
+  let run_once prefix =
+    Minuet.Harness.run ~seed:77 ~config:small_config (fun db ->
+        let s = Minuet.Session.attach db in
+        for i = 0 to 29 do
+          Minuet.Session.put s (key i) (Printf.sprintf "%s%03d" prefix i)
+        done;
+        let got = List.init 30 (fun i -> Minuet.Session.get s (key i)) in
+        (got, Btree.View_memo.length (Minuet.Db.view_memo db)))
+  in
+  let expected prefix = List.init 30 (fun i -> Some (Printf.sprintf "%s%03d" prefix i)) in
+  let first, memoised = run_once "a" in
+  let second, _ = run_once "b" in
+  check Alcotest.bool "views memoised" true (memoised > 0);
+  check (Alcotest.list (Alcotest.option Alcotest.string)) "first run" (expected "a") first;
+  check (Alcotest.list (Alcotest.option Alcotest.string)) "second run" (expected "b") second
+
 let test_harness_returns_value () =
   let v = run (fun _db -> 42) in
   check Alcotest.int "returned" 42 v
@@ -397,6 +418,7 @@ let () =
             test_with_txn_conserves_under_conflict;
           Alcotest.test_case "with_txn cross index" `Quick test_with_txn_cross_index;
           Alcotest.test_case "harness returns value" `Quick test_harness_returns_value;
+          Alcotest.test_case "view memo per db" `Quick test_view_memo_per_db;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
           Alcotest.test_case "seeds diverge" `Quick test_different_seeds_diverge;
           Alcotest.test_case "config validation" `Quick test_config_validation;

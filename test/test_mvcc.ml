@@ -16,7 +16,12 @@ let key i = Printf.sprintf "k%06d" i
 
 let small_layout = Layout.make ~node_size:512 ~max_slots:4096 ~max_trees:4 ~max_snapshots:256 ()
 
-type env = { cluster : Cluster.t; layout : Layout.t; shared : Node_alloc.Shared.t }
+type env = {
+  cluster : Cluster.t;
+  layout : Layout.t;
+  shared : Node_alloc.Shared.t;
+  memo : View_memo.t;
+}
 
 let make_env ?(n = 3) () =
   let layout = small_layout in
@@ -25,12 +30,12 @@ let make_env ?(n = 3) () =
   in
   let cluster = Cluster.create ~config ~n () in
   let shared = Node_alloc.Shared.create ~n_memnodes:n in
-  { cluster; layout; shared }
+  { cluster; layout; shared; memo = View_memo.create () }
 
 let make_tree ?(max_keys = 4) ?(tree_id = 0) env =
   let alloc = Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared () in
   Ops.make_tree ~max_keys_leaf:max_keys ~max_keys_internal:max_keys ~cluster:env.cluster
-    ~layout:env.layout ~tree_id ~alloc ~cache:(Objcache.create ()) ()
+    ~layout:env.layout ~tree_id ~alloc ~cache:(Objcache.create ()) ~memo:env.memo ()
 
 let with_linear_tree ?n f =
   Sim.run (fun () ->
@@ -166,7 +171,7 @@ let test_gc_reclaims_superseded_nodes () =
       in
       let tree =
         Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
-          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ()
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ~memo:env.memo ()
       in
       Ops.Linear.init_tree tree;
       for i = 0 to 49 do
@@ -233,7 +238,7 @@ let test_gc_bounded_sweep_matches_full_range () =
       in
       let tree =
         Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
-          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ()
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ~memo:env.memo ()
       in
       Ops.Linear.init_tree tree;
       for round = 0 to 2 do
@@ -271,7 +276,7 @@ let test_gc_background_process () =
       in
       let tree =
         Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
-          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ()
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ~memo:env.memo ()
       in
       Ops.Linear.init_tree tree;
       Gc.run_background tree ~alloc ~interval:5.0;

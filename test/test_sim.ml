@@ -220,6 +220,20 @@ let test_outside_now_fails () =
   | (_ : float) -> Alcotest.fail "now() outside run should fail"
   | exception Invalid_argument _ -> ()
 
+(* Three spawns plus two delays in each child: nine delivered events.
+   The stream hash moves with every delivered event. *)
+let test_totals_count_events () =
+  let before = Sim.totals () in
+  Sim.run (fun () ->
+      for _ = 1 to 3 do
+        Sim.spawn (fun () ->
+            Sim.delay 1.0;
+            Sim.delay 0.5)
+      done);
+  let after = Sim.totals () in
+  check Alcotest.int "events delivered" 9 (after.Sim.events - before.Sim.events);
+  check Alcotest.bool "hash moved" true (after.Sim.stream_hash <> before.Sim.stream_hash)
+
 let test_exception_propagates () =
   match Sim.run (fun () -> Sim.spawn (fun () -> failwith "boom")) with
   | () -> Alcotest.fail "exception should propagate"
@@ -591,6 +605,7 @@ let () =
           Alcotest.test_case "stop" `Quick test_stop;
           Alcotest.test_case "no nesting" `Quick test_no_nesting;
           Alcotest.test_case "outside now fails" `Quick test_outside_now_fails;
+          Alcotest.test_case "totals count events" `Quick test_totals_count_events;
           Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
           Alcotest.test_case "deterministic replay" `Quick test_determinism;
         ] );
