@@ -9,26 +9,32 @@
    Wire layout (all integers little-endian):
 
    {v
-     off  0: u8   magic (0xB5 — distinct from the legacy kind bytes 0/1)
+     off  0: u8   magic (0xB6 — distinct from the legacy kind bytes 0/1)
      off  1: u8   kind (0 = leaf, 1 = internal)
      off  2: u16  height
-     off  4: i64  stamp: FNV-1a-64 over content bytes [12, crc), patched
-                  in after encoding, so two encodings of the same
-                  logical node always carry the same stamp
+     off  4: i64  stamp: FNV-1a-64 over the payload bytes [12, crc),
+                  patched in after encoding
      off 12: i64  snap_created
      off 20: u16  ndesc, then ndesc * i64 descendant versions
      then  : low fence, high fence (u8 tag 0/1/2; tag 2: u16 len + bytes)
      then  : u16 prefix_len + the keys' common prefix
-     then  : u16 nkeys
-     then  : slot directory: nkeys * u16 entry offsets, relative to the
-             entries region, in key order
      then  : (internal only) (nkeys + 1) fixed 16-byte child refs
              (u32 memnode, i64 offset, u32 slot length)
-     then  : entries region —
+     then  : entries region, in any physical order —
              leaf entry:     u16 suffix_len | suffix | varint vlen | value
              internal entry: u16 suffix_len | suffix
+     then  : slot directory: nkeys * u16 entry offsets, relative to the
+             entries region, in key order
+     then  : u16 nkeys
      last 4: u32 CRC-32 over everything before it
    v}
+
+   The directory and the key count sit at the end so that an insert can
+   append its entry where the directory was and rewrite only the tail
+   ({!leaf_upsert}); the bytes before it stay put, which is what lets a
+   commit ship only the bytes that changed. Entries are therefore not
+   necessarily in key order, and two nodes with the same content may be
+   laid out differently: the stamp hashes bytes, not the logical node.
 
    The slot directory and entry bounds are validated once at view
    construction (cheap, O(nkeys) u16 reads), so accessors never read out
@@ -41,7 +47,7 @@
 
 module Objref = Dyntxn.Objref
 
-let magic = 0xB5
+let magic = 0xB6
 
 let decode_error fmt = Format.kasprintf (fun s -> raise (Codec.Decode_error s)) fmt
 
@@ -58,10 +64,9 @@ type t = {
   prefix_off : int;
   prefix_len : int;
   nkeys : int;
-  dir_off : int;
   children_off : int;  (* -1 for leaves *)
   entries_off : int;
-  content_end : int;  (* offset of the CRC trailer *)
+  dir_off : int;  (* end of the entries region *)
 }
 
 let is_slotted s = String.length s > 0 && Char.code s.[0] = magic
@@ -112,13 +117,13 @@ let entry_off t i = t.entries_off + String.get_uint16_le t.buf (t.dir_off + (2 *
 (* Validate one entry's spans so accessors can trust them. *)
 let validate_entry t i =
   let eoff = entry_off t i in
-  if eoff + 2 > t.content_end then decode_error "Bview: slot %d points past entry region" i;
+  if eoff + 2 > t.dir_off then decode_error "Bview: slot %d points past entry region" i;
   let slen = String.get_uint16_le t.buf eoff in
   let spos = eoff + 2 in
-  if spos + slen > t.content_end then decode_error "Bview: slot %d suffix out of bounds" i;
+  if spos + slen > t.dir_off then decode_error "Bview: slot %d suffix out of bounds" i;
   if t.kind = 0 then begin
-    let vlen, vpos = read_varint t.buf (spos + slen) t.content_end in
-    if vpos + vlen > t.content_end then decode_error "Bview: slot %d value out of bounds" i
+    let vlen, vpos = read_varint t.buf (spos + slen) t.dir_off in
+    if vpos + vlen > t.dir_off then decode_error "Bview: slot %d value out of bounds" i
   end
 
 let of_string s =
@@ -128,6 +133,8 @@ let of_string s =
   let kind = Char.code s.[1] in
   if kind <> 0 && kind <> 1 then decode_error "Bview: invalid kind byte %d" kind;
   let content_end = len - 4 in
+  let nkeys = String.get_uint16_le s (content_end - 2) in
+  let dir_off = content_end - 2 - (2 * nkeys) in
   let d = Codec.Dec.of_string ~pos:2 s in
   let height = Codec.Dec.u16 d in
   let stamp = Codec.Dec.i64 d in
@@ -138,8 +145,6 @@ let of_string s =
   let high = decode_fence d in
   let prefix_len = Codec.Dec.u16 d in
   let prefix_off, _ = Codec.Dec.raw_view d prefix_len in
-  let nkeys = Codec.Dec.u16 d in
-  let dir_off, _ = Codec.Dec.raw_view d (2 * nkeys) in
   let children_off =
     if kind = 1 then begin
       let off, _ = Codec.Dec.raw_view d (16 * (nkeys + 1)) in
@@ -148,7 +153,7 @@ let of_string s =
     else -1
   in
   let entries_off = Codec.Dec.pos d in
-  if entries_off > content_end then decode_error "Bview: header overruns entry region";
+  if entries_off > dir_off then decode_error "Bview: header overruns entry region";
   let t =
     {
       buf = s;
@@ -163,10 +168,9 @@ let of_string s =
       prefix_off;
       prefix_len;
       nkeys;
-      dir_off;
       children_off;
       entries_off;
-      content_end;
+      dir_off;
     }
   in
   for i = 0 to nkeys - 1 do
@@ -252,7 +256,7 @@ let leaf_value t i =
   if i < 0 || i >= t.nkeys then invalid_arg "Bview.leaf_value: index out of bounds";
   let eoff = entry_off t i in
   let slen = String.get_uint16_le t.buf eoff in
-  let vlen, vpos = read_varint t.buf (eoff + 2 + slen) t.content_end in
+  let vlen, vpos = read_varint t.buf (eoff + 2 + slen) t.dir_off in
   String.sub t.buf vpos vlen
 
 let leaf_entry t i = (key t i, leaf_value t i)
@@ -288,9 +292,10 @@ let child_for t k =
 
 (* Stamp equality straight off two raw payloads — what the object cache
    uses to revalidate epoch-stale entries without decoding either copy.
-   Stamps are content hashes, so a collision merely over-counts
-   "survived" revalidations; the fresh payload is (re)inserted by the
-   cache regardless, so correctness never rests on this. *)
+   Stamps hash bytes: a collision over-counts "survived" revalidations
+   and two layouts of one logical node under-count them; the fresh
+   payload is (re)inserted by the cache regardless, so correctness never
+   rests on this. *)
 let same_stamp a b =
   String.length a >= 12
   && String.length b >= 12
@@ -384,38 +389,89 @@ let encode_into e ~height ~low ~high ~snap ~descendants body =
     encode_fence e high;
     u16 e prefix_len;
     if prefix_len > 0 then raw_sub e keys.(0) 0 prefix_len;
-    let nkeys = Array.length keys in
-    u16 e nkeys;
-    (* Slot directory: entry offsets are computed incrementally from the
-       entry sizes, so the directory is emitted before the entries
-       without patching. *)
-    let off = ref 0 in
-    Array.iteri
-      (fun i k ->
-        u16 e !off;
-        let suffix = String.length k - prefix_len in
-        off := !off + 2 + suffix + entry_extra i)
-      keys;
     (match body with
     | Leaf_spec _ -> ()
     | Internal_spec (_, children) -> Array.iter (Objref.encode e) children);
-    (match body with
-    | Leaf_spec entries ->
-        Array.iter
-          (fun (k, v) ->
-            let suffix = String.length k - prefix_len in
-            u16 e suffix;
-            raw_sub e k prefix_len suffix;
-            varint e (String.length v);
-            raw e v)
-          entries
-    | Internal_spec (keys, _) ->
-        Array.iter
-          (fun k ->
-            let suffix = String.length k - prefix_len in
-            u16 e suffix;
-            raw_sub e k prefix_len suffix)
-          keys);
+    let entries_off = length e in
+    let emit_suffix k =
+      let suffix = String.length k - prefix_len in
+      u16 e suffix;
+      raw_sub e k prefix_len suffix
+    in
+    (* Entries in key order; the directory after them records where
+       each one starts. *)
+    let offsets =
+      match body with
+      | Leaf_spec entries ->
+          Array.map
+            (fun (k, v) ->
+              let off = length e - entries_off in
+              emit_suffix k;
+              varint e (String.length v);
+              raw e v;
+              off)
+            entries
+      | Internal_spec (keys, _) ->
+          Array.map
+            (fun k ->
+              let off = length e - entries_off in
+              emit_suffix k;
+              off)
+            keys
+    in
+    Array.iter (u16 e) offsets;
+    u16 e (Array.length keys);
     patch_i64 e ~pos:(start + stamp_pos) (fnv1a64_from e ~pos:(start + stamped_from));
     true
+  end
+
+(* {1 In-place upserts} *)
+
+(* Stamp the payload held by [e] and frame it. *)
+let seal e =
+  Codec.Enc.patch_i64 e ~pos:stamp_pos (Codec.Enc.fnv1a64_from e ~pos:stamped_from);
+  Codec.Enc.to_string_with_checksum e
+
+(* Splice an upsert into the wire bytes instead of re-encoding the node.
+   A same-length value update overwrites the value where it lies; an
+   insert appends its entry where the directory was and rewrites the
+   directory, the key count, the stamp and the CRC after it. Everything
+   else ([None]) goes through materialise and re-encode: a value that
+   changes length, a key outside the leaf's common prefix, a node whose
+   u16 fields would overflow. *)
+let leaf_upsert ?(enc = Codec.Enc.create ~initial_size:1024 ()) t k v =
+  if t.kind <> 0 then None
+  else begin
+    let open Codec.Enc in
+    reset enc;
+    match search t k with
+    | Ok i ->
+        let eoff = entry_off t i in
+        let slen = String.get_uint16_le t.buf eoff in
+        let vlen, vpos = read_varint t.buf (eoff + 2 + slen) t.dir_off in
+        if vlen <> String.length v then None
+        else begin
+          raw_sub enc t.buf 0 vpos;
+          raw enc v;
+          raw_sub enc t.buf (vpos + vlen) (String.length t.buf - 4 - vpos - vlen);
+          Some (seal enc)
+        end
+    | Error i ->
+        let klen = String.length k and plen = t.prefix_len in
+        let shares_prefix = klen >= plen && compare_span k 0 plen t.buf t.prefix_off plen = 0 in
+        let entry = t.dir_off - t.entries_off in
+        if (not shares_prefix) || klen - plen > 0xffff || entry > 0xffff || t.nkeys >= 0xffff
+        then None
+        else begin
+          raw_sub enc t.buf 0 t.dir_off;
+          u16 enc (klen - plen);
+          raw_sub enc k plen (klen - plen);
+          varint enc (String.length v);
+          raw enc v;
+          raw_sub enc t.buf t.dir_off (2 * i);
+          u16 enc entry;
+          raw_sub enc t.buf (t.dir_off + (2 * i)) (2 * (t.nkeys - i));
+          u16 enc (t.nkeys + 1);
+          Some (seal enc)
+        end
   end

@@ -13,7 +13,7 @@
 type t
 
 val magic : int
-(** Leading byte of the slotted format (0xB5), distinct from the legacy
+(** Leading byte of the slotted format (0xB6), distinct from the legacy
     kind bytes 0/1 so decoders can dispatch. *)
 
 val is_slotted : string -> bool
@@ -34,8 +34,9 @@ val is_leaf : t -> bool
 val height : t -> int
 
 val stamp : t -> int64
-(** Content stamp: FNV-1a-64 over the encoded body, stable across
-    re-encodings of the same logical node. *)
+(** Stamp: FNV-1a-64 over the payload bytes after it. It hashes
+    bytes, not the logical node: {!leaf_upsert} may leave entries out of
+    key order, so equal nodes can carry different stamps. *)
 
 val snap_created : t -> int64
 val low : t -> Bkey.fence
@@ -111,3 +112,17 @@ val encode_into :
     caller frames with {!Codec.Enc.to_string_with_checksum}). Returns
     [false], leaving the encoder untouched, when the node exceeds the
     format's u16 limits; callers fall back to the legacy encoding. *)
+
+(** {1 In-place upserts} *)
+
+val leaf_upsert : ?enc:Codec.Enc.t -> t -> Bkey.t -> string -> string option
+(** [leaf_upsert t k v] is the framed payload of leaf [t] with [k] bound
+    to [v], spliced into [t]'s bytes rather than re-encoded: a
+    same-length value update overwrites the value in place, and an
+    insert appends its entry at the end of the entries region and
+    rewrites the slot directory, key count, stamp and CRC after it. The
+    bytes before the splice point are unchanged. Returns [None] for
+    every other shape — internal nodes, a value that changes length, a
+    key outside the leaf's common prefix, or u16 overflow — which the
+    caller handles by re-encoding. Checks neither fences nor capacity.
+    [enc] is reset and used as scratch. *)

@@ -527,12 +527,32 @@ let get_in_txn tree txn vctx k =
   let _, _, leaf = traverse ~read_only:true tree txn vctx k in
   View.leaf_find leaf k
 
+(* The upsert spliced straight into the leaf's wire bytes
+   ({!Bview.leaf_upsert}), when the leaf already belongs to [vctx.snap]
+   (no copy-on-write) and has room for one more key without splitting.
+   [None] sends the put down the materialise/re-encode path. Like
+   materialisation, the splice rewrites the bytes, so it verifies their
+   CRC first. *)
+let splice_upsert tree txn vctx (ptr : Objref.t) (leaf : View.t) k v =
+  match leaf with
+  | View.Slotted bv
+    when Int64.equal (Bview.snap_created bv) vctx.snap && Bview.nkeys bv < tree.max_keys_leaf
+    -> (
+      (try Bview.verify_crc bv with Codec.Decode_error _ -> Txn.abort txn);
+      match Bview.leaf_upsert ~enc:tree.enc bv k v with
+      | Some payload when String.length payload <= Objref.payload_capacity ptr -> Some payload
+      | Some _ | None -> None)
+  | View.Slotted _ | View.Decoded _ -> None
+
 let put_in_txn tree txn vctx k v =
   if not vctx.writable then invalid_arg "Ops.put: read-only snapshot";
   let path, leaf_ptr, leaf_view = traverse tree txn vctx k in
-  let leaf = materialise tree txn leaf_view in
-  let updated = Bnode.leaf_insert leaf k v in
-  place_node tree txn vctx ~path:(List.rev path) ~ptr:leaf_ptr ~old:leaf ~updated
+  match splice_upsert tree txn vctx leaf_ptr leaf_view k v with
+  | Some payload -> Txn.write txn leaf_ptr payload
+  | None ->
+      let leaf = materialise tree txn leaf_view in
+      let updated = Bnode.leaf_insert leaf k v in
+      place_node tree txn vctx ~path:(List.rev path) ~ptr:leaf_ptr ~old:leaf ~updated
 
 let remove_in_txn tree txn vctx k =
   if not vctx.writable then invalid_arg "Ops.remove: read-only snapshot";

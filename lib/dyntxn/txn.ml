@@ -576,7 +576,68 @@ let refresh_cache t written =
           if known then Objcache.insert cache ref_ { Objcache.seq; payload })
         written
 
-let commit ?(blocking = false) t =
+(* Delta writes. An object whose read-set entry pins its base (commit
+   compares the base's sequence number) ships only the 12-byte slot
+   header plus the byte runs that differ from that base; the memnode
+   already holds every other byte. Bytes past the base's payload always
+   differ. Two runs merge when resending the unchanged gap between them
+   costs less memnode service than one more write item (its per-item
+   charge plus its address bytes). The redo log, mirror and replay apply
+   writes as absolute byte ranges in stamp order, so a delta leaves the
+   same image as the whole write would. *)
+let merge_gap (cfg : Config.t) =
+  if cfg.Config.svc_per_kb <= 0.0 then Float.infinity
+  else (cfg.Config.svc_item *. 1024.0 /. cfg.Config.svc_per_kb) +. float_of_int Address.encoded_size
+
+(* [(start, stop)] slot byte ranges of [slot] to write over a slot whose
+   payload is [base]: the header first, then the merged differing runs. *)
+let delta_runs ~gap ~base slot =
+  let hs = Objref.header_size in
+  let n = String.length slot in
+  let common = hs + min (n - hs) (String.length base) in
+  let rec next_diff j =
+    if j >= common then j
+    else if
+      j + 8 <= common
+      && Int64.equal (String.get_int64_le slot j) (String.get_int64_le base (j - hs))
+    then next_diff (j + 8)
+    else if Char.equal (String.unsafe_get slot j) (String.unsafe_get base (j - hs)) then
+      next_diff (j + 1)
+    else j
+  in
+  let rec next_same j =
+    if j >= common || Char.equal (String.unsafe_get slot j) (String.unsafe_get base (j - hs))
+    then j
+    else next_same (j + 1)
+  in
+  let rec go acc ((start, stop) as run) j =
+    let d = next_diff j in
+    if d >= n then List.rev (run :: acc)
+    else
+      let e = if d >= common then n else next_same d in
+      if float_of_int (d - stop) < gap then go acc (start, e) e else go (run :: acc) (d, e) e
+  in
+  go [] (0, hs) hs
+
+(* Write items for one object, and whether they are a delta. *)
+let object_write_items t ~delta ~gap (ref_ : Objref.t) slot =
+  let whole = ([ Mtx.write_at ref_.Objref.addr slot ], false) in
+  match Hashtbl.find_opt t.reads ref_ with
+  | Some base when delta -> (
+      match delta_runs ~gap ~base:base.payload slot with
+      | [ (0, stop) ] when stop = String.length slot -> whole
+      | runs ->
+          let { Address.node; off } = ref_.Objref.addr in
+          ( List.map
+              (fun (start, stop) ->
+                Mtx.write_at
+                  (Address.make ~node ~off:(off + start))
+                  (String.sub slot start (stop - start)))
+              runs,
+            true ))
+  | Some _ | None -> whole
+
+let commit ?(blocking = false) ?(delta = true) t =
   check_live t;
   t.aborted <- true;
   (* mark consumed: a transaction commits at most once *)
@@ -603,17 +664,20 @@ let commit ?(blocking = false) t =
         (fun ref_ (payload, echo) acc -> (ref_, Cluster.fresh_owner t.cluster, payload, echo) :: acc)
         []
     in
+    let gap = merge_gap (Cluster.config t.cluster) in
+    let delta_writes = ref 0 in
     let write_items =
       List.concat_map
         (fun ((ref_ : Objref.t), seq, payload, echo) ->
-          let obj = Mtx.write_at ref_.Objref.addr (Objref.slot_of ~seq ~payload) in
+          let obj, is_delta = object_write_items t ~delta ~gap ref_ (Objref.slot_of ~seq ~payload) in
+          if is_delta then incr delta_writes;
           match echo with
-          | None -> [ obj ]
+          | None -> obj
           | Some off ->
               (* Republish the fresh sequence number to the replicated
                  slot at [off] on every memnode (baseline seqnum table). *)
               let slot = Objref.slot_of ~seq ~payload:"" in
-              obj :: List.init n (fun node -> Mtx.write_at (Address.make ~node ~off) slot))
+              obj @ List.init n (fun node -> Mtx.write_at (Address.make ~node ~off) slot))
         written
     in
     let repl_written =
@@ -669,6 +733,9 @@ let commit ?(blocking = false) t =
     | Mtx.Committed { stamp; epochs; _ } ->
         t.commit_stamp_ <- Some stamp;
         observe_epochs t epochs;
+        Obs.Counter.add t.stats.Obs.delta_writes !delta_writes;
+        Obs.Counter.add t.stats.Obs.write_bytes
+          (List.fold_left (fun acc w -> acc + String.length w.Mtx.w_data) 0 mtx.Mtx.writes);
         refresh_cache t written;
         (match hints t with
         | None -> ()

@@ -132,12 +132,21 @@ type commit_result =
           writes certainly did not take effect (always, under the
           drain-based crash model). *)
 
-val commit : ?blocking:bool -> t -> commit_result
+val commit : ?blocking:bool -> ?delta:bool -> t -> commit_result
 (** Execute the commit minitransaction. Read-only transactions whose
     read set was populated by at most one fetch commit without any
     further network round trip. [blocking] uses blocking
     minitransactions (Sec. 4.1), appropriate for updates to heavily
-    contended replicated objects. *)
+    contended replicated objects.
+
+    A written object whose base is in the read set is shipped as a
+    delta: its 12-byte slot header plus the byte runs that differ from
+    the base (the commit's sequence-number compare pins that base), two
+    runs merged when resending the gap between them costs less memnode
+    service than one more write item under the cluster's [svc_item] and
+    [svc_per_kb]. Objects without a base are written whole.
+    [~delta:false] writes every object whole; the resulting memnode
+    images are byte-identical. *)
 
 val commit_stamp : t -> int64 option
 (** After a successful {!commit}: the transaction's commit stamp — the

@@ -45,8 +45,12 @@ let keep_recent tree ~n =
   if Int64.compare watermark 0L > 0 then set_lowest tree watermark
 
 (* Reclaim one slot transactionally: only if it still holds the node
-   version we examined (compare on the sequence number) do we zero it.
-   A concurrent writer reusing or updating the slot wins the race. *)
+   version we examined (compare on the sequence number) do we free it.
+   A concurrent writer reusing or updating the slot wins the race.
+   Freeing zeroes only the 12-byte header: the slot then reads as
+   sequence number 0 with an empty payload, so the stale bytes after the
+   header are never exposed, and the next write of the slot (a blind
+   write, so always whole) overwrites the prefix it uses. *)
 let reclaim tree (ref_ : Objref.t) ~observed_seq =
   let cluster = Ops.cluster tree in
   let seq_bytes =
@@ -54,7 +58,7 @@ let reclaim tree (ref_ : Objref.t) ~observed_seq =
     Bytes.set_int64_le b 0 observed_seq;
     Bytes.to_string b
   in
-  let zeros = String.make ref_.Objref.len '\000' in
+  let zeros = String.make Objref.header_size '\000' in
   let mtx =
     Mtx.make
       ~compares:[ Mtx.compare_at ref_.Objref.addr seq_bytes ]

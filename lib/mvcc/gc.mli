@@ -5,9 +5,10 @@
     sweeps the B-tree node slots at each memnode and reclaims every node
     that has been copied to a snapshot id <= the watermark — such nodes
     are never referenced by any snapshot newer than the watermark.
-    Reclaimed slots are zeroed (so stale readers fail validation or the
-    empty-slot safety check) and returned to the allocator's free
-    list. *)
+    A reclaimed slot has its 12-byte header zeroed, so it reads as
+    sequence number 0 with an empty payload (stale readers fail
+    validation or the empty-slot safety check), and is returned to the
+    allocator's free list. *)
 
 val set_lowest : Btree.Ops.tree -> int64 -> unit
 (** Publish the watermark (replicated at every memnode). *)

@@ -114,6 +114,8 @@ type txn_stats = {
   txn_unavailable : Counter.t;
   hinted_reads : Counter.t;
   short_read_refetches : Counter.t;
+  delta_writes : Counter.t;
+  write_bytes : Counter.t;
 }
 
 type btree_stats = {
@@ -310,6 +312,8 @@ let create ?(span_capacity = 65536) () =
       txn_unavailable = c "txn.unavailable";
       hinted_reads = c "txn.hinted_reads";
       short_read_refetches = c "txn.short_read_refetches";
+      delta_writes = c "txn.delta_writes";
+      write_bytes = c "txn.write_bytes";
     }
   in
   let btree_stats =

@@ -86,6 +86,11 @@ type txn_stats = {
   short_read_refetches : Counter.t;
       (** Hinted items whose object had outgrown the hint and were
           re-fetched at full slot length. *)
+  delta_writes : Counter.t;
+      (** Committed object writes shipped as the slot header plus the
+          byte runs that differ from the read-set base. *)
+  write_bytes : Counter.t;
+      (** Bytes of write items in committed commit minitransactions. *)
 }
 
 type btree_stats = {

@@ -1,9 +1,10 @@
 (** A memnode's linear byte-addressable storage.
 
-    Storage is paged and sparse: only written 64 KiB pages consume
+    Storage is paged and sparse: only written 4 KiB pages consume
     memory, up to a configurable capacity that mirrors the memnode's
-    DRAM budget. Reads of never-written bytes return zeros (as freshly
-    mapped memory would). *)
+    DRAM budget, and each page is stored only up to its highest written
+    byte (rounded up to 256 bytes). Reads of never-written bytes return
+    zeros (as freshly mapped memory would). *)
 
 type t
 
@@ -16,7 +17,7 @@ val high_water : t -> int
 (** Highest offset ever written + 1 (0 if untouched). *)
 
 val resident : t -> int
-(** Bytes of actually-materialized storage (whole pages). *)
+(** Bytes actually stored: the sum of the pages' stored prefixes. *)
 
 exception Out_of_space
 
@@ -38,4 +39,5 @@ val snapshot : t -> string
     replication and tests). *)
 
 val restore : t -> string -> unit
-(** Overwrite contents from a {!snapshot} string. *)
+(** Overwrite contents from a {!snapshot} string. All-zero pages of the
+    image are not stored. *)

@@ -300,6 +300,94 @@ let prop_stamp_stable =
   QCheck.Test.make ~name:"stamp stable across re-encode" ~count:300 arbitrary_leaf_node (fun n ->
       Bview.same_stamp (Bnode.encode n) (Bnode.encode n))
 
+(* Apply one upsert to [payload] as the write path does: splice when
+   {!Bview.leaf_upsert} can, otherwise decode, insert and re-encode.
+   Returns the new payload and whether it was spliced. *)
+let upsert_payload payload k v =
+  match Bview.leaf_upsert (Bview.of_string payload) k v with
+  | Some spliced -> (spliced, true)
+  | None -> (Bnode.encode (Bnode.leaf_insert (Bnode.decode payload) k v), false)
+
+let upsert_ops =
+  (* Values from a tiny alphabet of lengths 0-3, so same-length updates,
+     length-changing updates and inserts all occur. *)
+  QCheck.(
+    small_list
+      (pair (QCheck.make arbitrary_key) (string_gen_of_size (Gen.int_range 0 3) (Gen.oneofl [ 'x'; 'y' ]))))
+
+let prop_leaf_upsert_matches_encode =
+  (* Any sequence of upserts, spliced where possible, answers every view
+     query like the re-encoded node, materialises to it and keeps a
+     valid CRC; a spliced insert leaves every byte before the old slot
+     directory untouched. *)
+  QCheck.Test.make ~name:"leaf_upsert = full encode path" ~count:500
+    QCheck.(pair arbitrary_leaf_node upsert_ops)
+    (fun (n, ops) ->
+      let step (payload, model) (k, v) =
+        let inserted = Bnode.leaf_find model k = None in
+        let payload', was_spliced = upsert_payload payload k v in
+        let model = Bnode.leaf_insert model k v in
+        let v' = Bview.of_string payload' in
+        Bview.verify_crc v';
+        let queries = k :: "" :: List.map fst (Array.to_list (Bnode.leaf_entries model)) in
+        let same_answers =
+          Bview.nkeys v' = Bnode.nkeys model
+          && Array.to_list (Bview.leaf_entries v') = Array.to_list (Bnode.leaf_entries model)
+          && List.for_all
+               (fun q ->
+                 Bview.leaf_find v' q = Bnode.leaf_find model q
+                 && Bview.lower_bound v' q = Bnode.leaf_entries_from model q)
+               queries
+        in
+        let old_dir, _ = Bview.dir_bounds (Bview.of_string payload) in
+        let prefix_kept =
+          (not (was_spliced && inserted)) || String.sub payload 12 (old_dir - 12) = String.sub payload' 12 (old_dir - 12)
+        in
+        if not (same_answers && prefix_kept && node_equal model (Bnode.decode payload')) then
+          QCheck.Test.fail_reportf "diverged after upsert %S -> %S" k v;
+        (payload', model)
+      in
+      let (_ : string * Bnode.t) = List.fold_left step (Bnode.encode n, n) ops in
+      true)
+
+let test_leaf_upsert_shapes () =
+  let n = leaf (List.init 6 (fun i -> (Printf.sprintf "key%02d" (2 * i), "val"))) in
+  let payload = Bnode.encode n in
+  let v = Bview.of_string payload in
+  let dir_off, _ = Bview.dir_bounds v in
+  let differing a b =
+    List.filter (fun i -> i >= String.length a || a.[i] <> b.[i]) (List.init (String.length b) Fun.id)
+  in
+  (* Same-length update: only the value's three bytes change, besides
+     the stamp and the CRC. *)
+  (match Bview.leaf_upsert v "key04" "VAL" with
+  | None -> Alcotest.fail "same-length update not spliced"
+  | Some p ->
+      check Alcotest.int "same length" (String.length payload) (String.length p);
+      let body =
+        List.filter (fun i -> i >= 12 && i < String.length p - 4) (differing payload p)
+      in
+      check Alcotest.int "three value bytes differ" 3 (List.length body);
+      check Alcotest.bool "value bytes contiguous" true
+        (List.fold_left max 0 body - List.fold_left min max_int body = 2);
+      check (Alcotest.option Alcotest.string) "updated" (Some "VAL")
+        (Bview.leaf_find (Bview.of_string p) "key04"));
+  (* Insert: nothing before the old directory moves. *)
+  (match Bview.leaf_upsert v "key05" "new" with
+  | None -> Alcotest.fail "insert not spliced"
+  | Some p ->
+      check Alcotest.bool "only stamp and tail differ" true
+        (List.for_all (fun i -> (i >= 4 && i < 12) || i >= dir_off) (differing payload p));
+      check (Alcotest.option Alcotest.string) "inserted" (Some "new")
+        (Bview.leaf_find (Bview.of_string p) "key05"));
+  check Alcotest.bool "length-changing update falls back" true
+    (Bview.leaf_upsert v "key04" "longer" = None);
+  check Alcotest.bool "key outside the common prefix falls back" true
+    (Bview.leaf_upsert v "other" "v" = None);
+  check Alcotest.bool "internal node falls back" true
+    (Bview.leaf_upsert (view_of (internal ~height:1 [ "g" ] [ ref_ 0 4096; ref_ 1 4096 ])) "a" "v"
+    = None)
+
 let () =
   Alcotest.run "bview"
     [
@@ -311,6 +399,7 @@ let () =
           Alcotest.test_case "fence boundaries" `Quick test_fence_boundaries;
           Alcotest.test_case "internal routing" `Quick test_internal_routing;
           Alcotest.test_case "stamp stability" `Quick test_stamp_stability;
+          Alcotest.test_case "leaf_upsert shapes" `Quick test_leaf_upsert_shapes;
         ] );
       ( "robustness",
         [
@@ -332,5 +421,6 @@ let () =
             prop_view_routes_like_decode;
             prop_legacy_roundtrip;
             prop_stamp_stable;
+            prop_leaf_upsert_matches_encode;
           ] );
     ]

@@ -865,6 +865,135 @@ let test_txn_concurrent_increments () =
         (string_of_int (workers * per_worker))
         (Txn.read t r))
 
+(* ------------------------------------------------------------------ *)
+(* Delta writes                                                         *)
+(* ------------------------------------------------------------------ *)
+
+let delta_slot node i = Objref.make ~addr:(Address.make ~node ~off:(base + (i * 512))) ~len:512
+
+(* Payload of object [i] after update [step]: lengths move up and down
+   between steps, and each step rewrites a sparse set of bytes, so a
+   delta is several runs, some merged, some past the base. *)
+let delta_payload i step =
+  let len = 100 + (((i * 37) + (step * 53)) mod 300) in
+  String.init len (fun j ->
+      if (j + step) mod 150 = 0 then Char.chr (65 + (step mod 26)) else Char.chr (97 + ((i + j) mod 26)))
+
+let counter cluster name = Sim.Metrics.counter_value (Cluster.metrics cluster) name
+
+(* The experiments' memnode cost model: a write item costs as much
+   service as ~85 more bytes, so runs further apart stay separate. *)
+let delta_config = { Config.default with svc_item = 1e-6; svc_per_kb = 12e-6; in_doubt_grace = 0.01 }
+
+(* Every image of both address spaces: (primary, backup) per space. *)
+let images cluster =
+  List.map
+    (fun space ->
+      let heap store = Heap.snapshot (Memnode.store_heap store) in
+      let backup =
+        match Memnode.replica (Cluster.memnode cluster (1 - space)) ~of_node:space with
+        | Some store -> heap store
+        | None -> Alcotest.fail "no replica"
+      in
+      (heap (Memnode.primary (Cluster.memnode cluster space)), backup))
+    [ 0; 1 ]
+
+(* Run update rounds over two objects per space through transactions
+   that read each object before rewriting it (so each write has a base
+   in the read set), committing with or without deltas. Each round's
+   transaction spans both spaces (2PC, both mirrors). *)
+let delta_scenario ~delta scenario =
+  let result = ref ([], 0, 0) in
+  Sim.run (fun () ->
+      let cluster = Cluster.create ~config:delta_config ~n:2 () in
+      let update step =
+        let t = Txn.begin_ cluster in
+        List.iter
+          (fun (node, i) ->
+            let r = delta_slot node i in
+            let (_ : string) = Txn.read t r in
+            Txn.write t r (delta_payload i step))
+          [ (0, 0); (0, 1); (1, 0); (1, 1) ];
+        match Txn.commit ~delta t with
+        | Txn.Committed -> ()
+        | _ -> Alcotest.failf "update %d did not commit" step
+      in
+      let block blocked =
+        if blocked then Sim.Net.set_fault_pair (Cluster.net cluster) ~a:0 ~b:1 ~blocked:true ()
+        else Sim.Net.clear_fault_pair (Cluster.net cluster) ~a:0 ~b:1
+      in
+      for step = 0 to 2 do
+        update step
+      done;
+      (match scenario with
+      | `Mirror -> update 3
+      | `Skipped_then_flush ->
+          block true;
+          update 3;
+          update 4;
+          check Alcotest.bool "mirrors skipped" true (counter cluster "replication.mirror_skipped" > 0);
+          block false;
+          Cluster.start_recovery ~interval:0.01 cluster;
+          Sim.delay 0.2
+      | `Crash_replay ->
+          block true;
+          update 3;
+          update 4;
+          Cluster.crash_now cluster 0;
+          check Alcotest.bool "promotion replayed the log" true
+            (counter cluster "redo.replayed" > 0);
+          block false;
+          update 5;
+          (match Cluster.try_recover cluster 0 with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "recovery refused: %s" (Cluster.recover_error_to_string e));
+          (* Space 1's backup lived on the crashed node: the flush
+             catches it up. *)
+          Cluster.start_recovery ~interval:0.01 cluster;
+          Sim.delay 0.2);
+      result :=
+        (images cluster, counter cluster "txn.delta_writes", counter cluster "txn.write_bytes");
+      Sim.stop ());
+  !result
+
+let test_delta_images_match_full scenario () =
+  let delta_images, deltas, delta_bytes = delta_scenario ~delta:true scenario in
+  let full_images, full_deltas, full_bytes = delta_scenario ~delta:false scenario in
+  check Alcotest.bool "delta writes used" true (deltas > 0);
+  check Alcotest.int "no delta writes when disabled" 0 full_deltas;
+  check Alcotest.bool "fewer bytes written" true (delta_bytes < full_bytes);
+  List.iteri
+    (fun space ((dp, db), (fp, fb)) ->
+      check Alcotest.bool (Printf.sprintf "space %d primary byte-identical" space) true (dp = fp);
+      check Alcotest.bool (Printf.sprintf "space %d backup byte-identical" space) true (db = fb);
+      check Alcotest.bool (Printf.sprintf "space %d backup = primary" space) true (dp = db))
+    (List.combine delta_images full_images)
+
+let test_delta_stale_base_applies_nothing () =
+  Sim.run (fun () ->
+      let cluster = Cluster.create ~config:delta_config ~n:2 () in
+      let r = delta_slot 0 0 in
+      let write_from_read step =
+        let t = Txn.begin_ cluster in
+        let (_ : string) = Txn.read t r in
+        Txn.write t r (delta_payload 0 step);
+        t
+      in
+      commit_ok (write_from_read 0);
+      (* [stale] reads version 1, then another transaction installs
+         version 2 before [stale] commits its delta against version 1. *)
+      commit_ok (write_from_read 1);
+      let stale = write_from_read 2 in
+      commit_ok (write_from_read 3);
+      let before = images cluster in
+      let deltas = counter cluster "txn.delta_writes" in
+      check Alcotest.bool "earlier commits were deltas" true (deltas >= 2);
+      expect_validation_failure stale;
+      check Alcotest.bool "no byte changed on either image" true (images cluster = before);
+      check Alcotest.int "no delta counted" deltas (counter cluster "txn.delta_writes");
+      let t = Txn.begin_ cluster in
+      check Alcotest.string "winner intact" (delta_payload 0 3) (Txn.read t r))
+
 let () =
   Alcotest.run "dyntxn"
     [
@@ -932,6 +1061,17 @@ let () =
           Alcotest.test_case "validate_replicated staleness" `Quick
             test_validate_replicated_catches_stale;
           Alcotest.test_case "read_with_seq" `Quick test_read_with_seq;
+        ] );
+      ( "delta-writes",
+        [
+          Alcotest.test_case "images match after mirror" `Quick
+            (test_delta_images_match_full `Mirror);
+          Alcotest.test_case "images match after skipped mirror and flush" `Quick
+            (test_delta_images_match_full `Skipped_then_flush);
+          Alcotest.test_case "images match after crash replay" `Quick
+            (test_delta_images_match_full `Crash_replay);
+          Alcotest.test_case "stale base applies nothing" `Quick
+            test_delta_stale_base_applies_nothing;
         ] );
       ( "replicated",
         [

@@ -227,6 +227,51 @@ let full_range_nodes env =
         (List.init env.layout.Layout.max_slots Fun.id))
     (List.init (Cluster.n_memnodes env.cluster) Fun.id)
 
+let test_gc_freed_slot_reads_empty () =
+  (* Reclaim zeroes only the slot header: the stale body stays in place
+     but no read path exposes it. *)
+  Sim.run (fun () ->
+      let env = make_env () in
+      let alloc =
+        Node_alloc.create ~cluster:env.cluster ~layout:env.layout ~shared:env.shared ()
+      in
+      let tree =
+        Ops.make_tree ~max_keys_leaf:4 ~max_keys_internal:4 ~cluster:env.cluster
+          ~layout:env.layout ~tree_id:0 ~alloc ~cache:(Objcache.create ()) ~memo:env.memo ()
+      in
+      Ops.Linear.init_tree tree;
+      for i = 0 to 29 do
+        put tree (key i) "v0"
+      done;
+      let (_ : int64 * Objref.t) = create_snapshot tree in
+      for i = 0 to 29 do
+        put tree (key i) "v1"
+      done;
+      Gc.keep_recent tree ~n:0;
+      let before = full_range_nodes env in
+      check Alcotest.bool "reclaimed" true (Gc.sweep tree ~alloc > 0);
+      let live = List.map fst (full_range_nodes env) in
+      let freed = List.filter (fun (at, _) -> not (List.mem at live)) before in
+      check Alcotest.bool "some slots freed" true (freed <> []);
+      let node_size = env.layout.Layout.node_size in
+      List.iter
+        (fun ((node, index), _) ->
+          let _, store = Cluster.route env.cluster node in
+          let heap = Sinfonia.Memnode.store_heap store in
+          let off = Layout.slot_off env.layout ~index in
+          let full = Sinfonia.Heap.read heap ~off ~len:node_size in
+          check Alcotest.int64 "full read: sequence number 0" 0L (Objref.seq_of_slot full);
+          check Alcotest.string "full read: empty payload" "" (Objref.payload_of_slot full);
+          check Alcotest.bool "stale body left in place" true
+            (String.exists (fun c -> c <> '\000') (String.sub full 12 (node_size - 12)));
+          check Alcotest.string "trimmed read: zero header only" (String.make 12 '\000')
+            (Sinfonia.Memnode.read_trimmed heap ~off ~len:node_size);
+          let txn = Txn.begin_ env.cluster in
+          let seq, payload = Txn.read_with_seq txn (Layout.node_ref env.layout ~node ~index) in
+          check Alcotest.int64 "txn read: sequence number 0" 0L seq;
+          check Alcotest.string "txn read: empty payload" "" payload)
+        freed)
+
 let test_gc_bounded_sweep_matches_full_range () =
   Sim.run (fun () ->
       let env = make_env () in
@@ -719,6 +764,7 @@ let () =
         [
           Alcotest.test_case "watermark" `Quick test_gc_watermark;
           Alcotest.test_case "reclaims superseded nodes" `Quick test_gc_reclaims_superseded_nodes;
+          Alcotest.test_case "freed slot reads empty" `Quick test_gc_freed_slot_reads_empty;
           Alcotest.test_case "bounded sweep = full-range sweep" `Quick
             test_gc_bounded_sweep_matches_full_range;
           Alcotest.test_case "background process" `Quick test_gc_background_process;

@@ -77,7 +77,7 @@ let test_heap_snapshot_restore () =
   check Alcotest.string "restored" "state one" (Heap.read h ~off:0 ~len:9)
 
 let test_heap_page_boundaries () =
-  (* Writes and reads straddling the 64 KiB page boundary. *)
+  (* Writes and reads straddling a page boundary. *)
   let h = Heap.create ~capacity:(1 lsl 20) () in
   let off = 65536 - 3 in
   Heap.write h ~off "abcdefgh";
@@ -94,6 +94,38 @@ let test_heap_sparse_high_offset () =
   check Alcotest.string "prefix zero" "\000" (Heap.read h ~off:1234 ~len:1);
   check Alcotest.bool "resident is one page despite high water" true
     (Heap.resident h <= 65536 && Heap.high_water h > 1 lsl 28)
+
+let test_heap_extents () =
+  (* A page stores only up to its highest written byte (rounded up to
+     256): reads and compares past the stored prefix see zeros, and
+     [resident] counts stored bytes, not whole pages. *)
+  let h = Heap.create ~capacity:(1 lsl 20) () in
+  (* The written bytes end exactly at the first 256-byte extent. *)
+  let at = 8192 + 250 in
+  Heap.write h ~off:at "header";
+  check Alcotest.int "one short extent" 256 (Heap.resident h);
+  check Alcotest.string "read across the extent end" "ader\000\000"
+    (Heap.read h ~off:(at + 2) ~len:6);
+  check Alcotest.string "read wholly past the extent" (String.make 8 '\000')
+    (Heap.read h ~off:(8192 + 1000) ~len:8);
+  check Alcotest.bool "equal_at across the extent end" true
+    (Heap.equal_at h ~off:(at + 4) "er\000\000\000");
+  check Alcotest.bool "equal_at sees stored bytes" false (Heap.equal_at h ~off:at "heade\000");
+  check Alcotest.bool "equal_at past the extent" false (Heap.equal_at h ~off:(8192 + 500) "x");
+  (* Growing the extent keeps what was stored. *)
+  Heap.write h ~off:(8192 + 1000) "tail";
+  check Alcotest.int "extent grown" 1024 (Heap.resident h);
+  check Alcotest.string "prefix kept" "header" (Heap.read h ~off:at ~len:6);
+  check Alcotest.string "gap reads zero" "\000\000" (Heap.read h ~off:(8192 + 998) ~len:2);
+  (* Restore stores nothing for all-zero pages of the image. *)
+  let image = Heap.snapshot h in
+  check Alcotest.int "image spans the zero pages" (8192 + 1004) (String.length image);
+  let h' = Heap.create ~capacity:(1 lsl 20) () in
+  Heap.write h' ~off:0 "stale";
+  Heap.restore h' image;
+  check Alcotest.int "only the written page is stored" 1024 (Heap.resident h');
+  check Alcotest.string "restored image" image (Heap.snapshot h');
+  check Alcotest.int "high water restored" (Heap.high_water h) (Heap.high_water h')
 
 let prop_heap_matches_reference =
   (* Random writes against a reference Bytes model. *)
@@ -882,6 +914,7 @@ let () =
             test_read_trimmed_matches_trim_slot;
           Alcotest.test_case "page boundaries" `Quick test_heap_page_boundaries;
           Alcotest.test_case "sparse high offset" `Quick test_heap_sparse_high_offset;
+          Alcotest.test_case "extents" `Quick test_heap_extents;
           QCheck_alcotest.to_alcotest prop_heap_matches_reference;
         ] );
       ( "locks",
